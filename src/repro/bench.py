@@ -721,8 +721,8 @@ def _mp_query_workload(store) -> list:
     genuinely parallelizes — exactly the contrast the metric prices.
     """
     months = store.months()
-    return [
-        ("POST", "/query", {
+    bodies = [
+        {
             "kind": "fraction",
             "predicate": {"op": "any", "args": [
                 {"op": "version", "value": "TLSv12"},
@@ -730,27 +730,29 @@ def _mp_query_workload(store) -> list:
             ]},
             "within": {"op": "established", "value": True},
             "month": None,
-        }),
-        ("POST", "/query", {
+        },
+        {
             "kind": "weight",
             "predicate": {"op": "all", "args": [
                 {"op": "established", "value": True},
                 {"op": "not", "arg": {"op": "advertises", "value": "rc4"}},
             ]},
             "month": None,
-        }),
-        ("POST", "/query", {
+        },
+        {
             "kind": "weighted_mean",
             "value": {"op": "position_of", "tag": "aead"},
             "month": None,
-        }),
-        ("POST", "/query", {
+        },
+        {
             "kind": "fraction",
             "predicate": {"op": "mode", "value": "AEAD"},
             "within": {"op": "established", "value": True},
             "month": months[len(months) // 2].isoformat(),
-        }),
+        },
     ]
+    # The loadtest client sends bodies as given: they must be JSON text.
+    return [("POST", "/query", json.dumps(body)) for body in bodies]
 
 
 def bench_serve_mp_speedup(ctx: BenchContext) -> dict:
@@ -1114,10 +1116,11 @@ def render_run(run: dict, failures: list[str] | None = None) -> str:
         parts = [f"wall={wall:.6f}s" if wall is not None else "wall=-"]
         if rps:
             parts.append(f"{rps:,.0f}/s")
-        for key, value in (record.get("metrics") or {}).items():
-            parts.append(f"{key}={value:.4f}")
-        for key, value in (record.get("anchors") or {}).items():
-            parts.append(f"{key}={value:.4f}")
+        for key, value in [
+            *(record.get("metrics") or {}).items(),
+            *(record.get("anchors") or {}).items(),
+        ]:
+            parts.append(f"{key}=-" if value is None else f"{key}={value:.4f}")
         lines.append(f"{record['bench']:<24} " + "  ".join(parts))
     if failures is not None:
         if failures:

@@ -10,41 +10,34 @@ months.
 Layout under the cache directory (``REPRO_CACHE_DIR``, default
 ``~/.cache/repro``):
 
-* ``expectation-<key>.bin`` — one blob per dataset.  Two wire formats
-  share the name:
+* ``expectation-<key>.bin`` — one blob per dataset, magic ``RPM1``: a
+  fixed header, a zlib-compressed pickle of the *metadata envelope*
+  (key, run meta, aggregate indexes, shape table/matrix, per-month
+  shape summaries, column descriptors), then the month columns as raw
+  little-endian bytes.  Loads ``mmap`` the file and cast
+  ``memoryview`` slices over the column region — a 100×-scale dataset
+  opens in O(metadata) time and the OS pages column bytes in only as
+  queries touch them.  The envelope carries its own CRC32 (always
+  verified); the column region's CRC is verified eagerly only when the
+  region is small (or ``REPRO_CACHE_VERIFY=1`` forces it), because
+  checksumming gigabytes would page everything in and defeat the
+  point of mapping.
 
-  - **mmap format** (default for new saves, magic ``RPM1``): a fixed
-    header, a zlib-compressed pickle of the *metadata envelope* (key,
-    run meta, aggregate indexes, shape table/matrix, per-month shape
-    summaries, column descriptors), then the month columns as raw
-    little-endian bytes.  Loads ``mmap`` the file and cast
-    ``memoryview`` slices over the column region — a 100×-scale
-    dataset opens in O(metadata) time and the OS pages column bytes
-    in only as queries touch them.  The envelope carries its own
-    CRC32 (always verified); the column region's CRC is verified
-    eagerly only when the region is small (or ``REPRO_CACHE_VERIFY=1``
-    forces it), because checksumming gigabytes would page everything
-    in and defeat the point of mapping.
-  - **legacy pickle format** (magic-less, footer-sealed): a
-    zlib-compressed pickle of the whole payload plus a 16-byte
-    integrity footer (magic, CRC32, length).  Still written for
-    payloads the raw layout cannot carry (day columns) or when
-    ``REPRO_CACHE_FORMAT=pickle``, and still read forever — old blobs
-    keep loading without a rebuild.
-
-  Either way, any truncation, bit flip, or format skew fails a CRC or
-  payload check, the file is **deleted**, and the load degrades to a
-  miss — a bad blob is never left to fail every future run.
-  :func:`peek_meta` reads just the envelope (header + a small pickle
-  for mmap blobs; whole-blob fallback for legacy ones) so callers
-  needing only summaries/metadata never inflate month columns.
+  Any truncation, bit flip, format skew, or blob of another format
+  (such as the retired footer-sealed pickle) fails a header, CRC or
+  payload check; the file is **deleted** and the load degrades to a
+  counted miss that rebuilds — a bad blob is never left to fail every
+  future run.  :func:`peek_meta` reads just the header and envelope,
+  so callers needing only summaries/metadata never touch month
+  columns.
 * ``expectation-<key>.lock`` — advisory build lock: two processes
   racing to build the same dataset coordinate so one simulates and the
   other waits for the blob (stale locks from dead builders are broken
-  after ``REPRO_CACHE_LOCK_STALE`` seconds).
-* ``checkpoints/<key>/<YYYY-MM-DD>.bin`` — one footer-sealed blob per
-  finished month, spilled by the parallel runner as chunks complete so
-  a killed run resumes instead of restarting (cleared on success).
+  after :data:`DEFAULT_LOCK_STALE_SECONDS`).
+* ``checkpoints/<key>/<YYYY-MM-DD>.bin`` — one footer-sealed pickle
+  blob (magic ``RPRC``, CRC32, length) per finished month, spilled by
+  the runner as chunks of a multi-chunk run complete so a killed run
+  resumes instead of restarting (cleared on success).
 
 The blob population is kept under ``REPRO_CACHE_MAX_BYTES`` (default
 512 MB) by LRU eviction: loads refresh a blob's mtime, and every save
@@ -83,6 +76,8 @@ from repro.engine import faults
 from repro.engine.partition import (
     PARTITION_FORMAT,
     PackedDataset,
+    PackedMerge,
+    build_shape_matrix,
     pack_records,
     remap_month,
     validate_payload,
@@ -97,7 +92,7 @@ _log = get_logger("repro.engine.cache")
 #: the integrity footer.
 CACHE_FORMAT = 3
 
-#: Integrity footer: magic + CRC32 of the blob body + body length.
+#: Checkpoint integrity footer: magic + CRC32 of the body + body length.
 _FOOTER_MAGIC = b"RPRC"
 _FOOTER = struct.Struct("<4sIQ")
 
@@ -260,66 +255,11 @@ def _delete_corrupt(path: Path) -> None:
 # ---- mmap-format blob I/O ---------------------------------------------------
 
 
-def _mmap_format_enabled() -> bool:
-    return os.environ.get("REPRO_CACHE_FORMAT", "").strip().lower() != "pickle"
-
-
-def _mmap_packable(records: dict) -> bool:
-    """Whether the payload fits the raw column layout.
-
-    Day columns (Monte-Carlo months) are ragged ``None``-bearing lists
-    with no fixed-width representation; such payloads stay on the
-    legacy pickle format.
-    """
-    return all(
-        columns.get("days") is None for columns in records["months"].values()
-    )
-
-
 def _column_bytes(column) -> tuple[bytes, str, int]:
     """Raw bytes + typecode + itemsize of an array or memoryview column."""
     if isinstance(column, memoryview):
         return column.tobytes(), column.format, column.itemsize
     return column.tobytes(), column.typecode, column.itemsize
-
-
-class _PayloadSource:
-    """Adapts an in-memory packed payload to the streaming blob writer."""
-
-    def __init__(self, records: dict) -> None:
-        self._records = records
-        self.partition_format = records["format"]
-        self.shapes = records["shapes"]
-
-    def months(self):
-        for month_ord in sorted(self._records["months"]):
-            yield month_ord, self._records["months"][month_ord]
-
-    def shape_matrix(self):
-        return self._records.get("shape_matrix")
-
-
-class _MergeSource:
-    """Adapts a streaming :class:`~repro.engine.partition.PackedMerge`.
-
-    ``shapes`` is the merge's live table — complete once ``months()``
-    is exhausted, which is exactly when the writer reads it.
-    """
-
-    def __init__(self, merge) -> None:
-        from repro.engine.partition import PARTITION_FORMAT
-
-        self._merge = merge
-        self.partition_format = PARTITION_FORMAT
-        self.shapes = merge.shapes
-
-    def months(self):
-        return self._merge.months()
-
-    def shape_matrix(self):
-        from repro.engine.partition import build_shape_matrix
-
-        return build_shape_matrix(self._merge.shapes)
 
 
 def _seal_mmap_blob(
@@ -368,20 +308,21 @@ def _seal_mmap_blob(
 
 
 def _write_mmap_blob(
-    path: Path, key: str, meta: dict, source, indexes: dict,
+    path: Path, key: str, meta: dict, merge, indexes: dict,
     fault_token: str,
 ) -> Path | None:
-    """Atomically write an mmap-format blob; None on (swallowed) failure.
+    """Atomically write a :class:`~repro.engine.partition.PackedMerge` as
+    an mmap-format blob; None on (swallowed) failure.
 
     The metadata envelope (everything except raw column bytes) is one
     compressed pickle up front, so readers that only need summaries or
     run metadata never touch the column region.
 
-    ``source`` yields months one at a time (``months()``) and exposes
-    ``shapes`` / ``shape_matrix()`` once exhausted.  Column bytes
-    stream through a sibling temp file as each month arrives — peak
-    resident cost is one month's columns, never the dataset — and the
-    region is then spliced behind the envelope in bounded chunks.
+    Column bytes stream through a sibling temp file as each merged
+    month arrives — peak resident cost is one month's columns, never
+    the dataset — and the region is then spliced behind the envelope in
+    bounded chunks.  The merge's shape table is complete once its
+    months are exhausted, which is when the envelope is built.
     """
     region_tmp = path.with_name(path.name + f".col{os.getpid()}")
     try:
@@ -391,7 +332,7 @@ def _write_mmap_blob(
         offset = 0
         crc = 0
         with open(region_tmp, "wb") as region:
-            for month_ord, columns in source.months():
+            for month_ord, columns in merge.months():
                 descr: dict[str, dict] = {}
                 for name in ("weights", "shape_idx"):
                     raw, typecode, itemsize = _column_bytes(columns[name])
@@ -414,9 +355,9 @@ def _write_mmap_blob(
         return _seal_mmap_blob(
             path, key, meta, indexes,
             {
-                "format": source.partition_format,
-                "shapes": source.shapes,
-                "shape_matrix": source.shape_matrix(),
+                "format": PARTITION_FORMAT,
+                "shapes": merge.shapes,
+                "shape_matrix": build_shape_matrix(merge.shapes),
                 "summaries": summaries,
             },
             descriptors, offset, crc, splice, fault_token,
@@ -443,7 +384,7 @@ class SpillError(OSError):
 class BlobSpill:
     """Out-of-core sink for sealed month partitions.
 
-    The parallel runner feeds finished chunk payloads in as they
+    The runner feeds finished chunk payloads in as they
     arrive: each month's shape indices are remapped into one growing
     shape table (:func:`repro.engine.partition.remap_month` — weights
     carry float for float, summaries translate bit for bit) and its
@@ -541,8 +482,6 @@ class BlobSpill:
         """
         import mmap as _mmap_mod
 
-        from repro.engine.partition import build_shape_matrix
-
         if self._payload is not None:
             return self._payload
         self._region.flush()
@@ -592,8 +531,6 @@ def _write_spill_blob(
     accumulated while chunks were still resident, so this never reads
     the mapped columns — peak cost is the envelope pickle.
     """
-    from repro.engine.partition import build_shape_matrix
-
     return _seal_mmap_blob(
         path, key, meta, indexes,
         {
@@ -607,21 +544,25 @@ def _write_spill_blob(
     )
 
 
-def _sniff_magic(path: Path) -> bytes | None:
-    try:
-        with open(path, "rb") as handle:
-            return handle.read(len(_MMAP_MAGIC))
-    except OSError:
-        return None
+def _envelope_length(header: bytes, blob_len: int) -> int:
+    """Check an mmap blob's header; return its envelope length (raises
+    on a short header, foreign magic, format skew, or an envelope longer
+    than the blob)."""
+    if len(header) < _MMAP_HEADER.size:
+        raise ValueError("mmap blob shorter than its header")
+    magic, fmt, meta_len, _ = _MMAP_HEADER.unpack(header)
+    if magic != _MMAP_MAGIC:
+        raise ValueError("not an mmap-format blob")
+    if fmt != CACHE_FORMAT:
+        raise ValueError(f"mmap blob has cache format {fmt}")
+    if _MMAP_HEADER.size + meta_len > blob_len:
+        raise ValueError("mmap blob envelope truncated")
+    return meta_len
 
 
 def _unpack_meta_blob(header: bytes, meta_blob: bytes) -> dict:
     """Verify and decode an mmap blob's metadata envelope (raises on damage)."""
-    magic, fmt, meta_len, meta_crc = _MMAP_HEADER.unpack(header)
-    if magic != _MMAP_MAGIC:
-        raise ValueError("mmap blob lost its magic")
-    if fmt != CACHE_FORMAT:
-        raise ValueError(f"mmap blob has cache format {fmt}")
+    _, _, meta_len, meta_crc = _MMAP_HEADER.unpack(header)
     if len(meta_blob) != meta_len or zlib.crc32(meta_blob) != meta_crc:
         raise ValueError("mmap blob failed envelope CRC")
     return pickle.loads(zlib.decompress(meta_blob))
@@ -639,9 +580,9 @@ def _verify_columns_eagerly(region_len: int) -> bool:
 def _read_mmap_blob(path: Path, fault_token: str) -> dict | None:
     """Map an mmap-format blob; on any damage, delete it and return None.
 
-    The returned dict mirrors the legacy envelope (``format``/``key``/
-    ``meta``/``indexes``/``records``), but the records payload's month
-    columns are ``memoryview`` casts over the mapped file — ``_mmap``
+    Returns the envelope (``format``/``key``/``meta``/``indexes``) plus
+    a ``records`` payload whose month columns are ``memoryview`` casts
+    over the mapped file — ``_mmap``
     inside the payload keeps the map alive as long as the payload is.
     """
     import mmap as _mmap_mod
@@ -665,10 +606,7 @@ def _read_mmap_blob(path: Path, fault_token: str) -> dict | None:
             )
             view = memoryview(mapped)
             header = bytes(view[: _MMAP_HEADER.size])
-            if len(header) < _MMAP_HEADER.size:
-                raise ValueError("mmap blob shorter than its header")
-            _, _, meta_len, _ = _MMAP_HEADER.unpack(header)
-            meta_end = _MMAP_HEADER.size + meta_len
+            meta_end = _MMAP_HEADER.size + _envelope_length(header, len(view))
             envelope = _unpack_meta_blob(header, bytes(view[_MMAP_HEADER.size:meta_end]))
             region = view[meta_end:]
             if len(region) != envelope["columns_len"]:
@@ -725,54 +663,37 @@ def _read_mmap_blob(path: Path, fault_token: str) -> dict | None:
 def peek_meta(key: str) -> dict | None:
     """Load only a cached dataset's metadata: never inflates columns.
 
-    For mmap-format blobs this reads the header plus the compressed
-    envelope and stops — month columns stay on disk untouched.  Legacy
-    pickle blobs cannot be partially decoded, so they fall back to a
-    full (verified) read and the columns are simply dropped.  Returns
-    ``{"format", "key", "meta", "indexes", "months"}`` (months as
-    dates, ascending) or None on miss/corruption.
+    Reads the header plus the compressed envelope and stops — month
+    columns stay on disk untouched.  Returns ``{"format", "key",
+    "meta", "indexes", "months"}`` (months as dates, ascending) or None
+    on miss/corruption.
     """
     path = store_path(key)
-    token = f"peek:{key[:16]}"
-    magic = _sniff_magic(path)
-    if magic is None:
+    try:
+        with open(path, "rb") as handle:
+            if faults.fires("cache_read", f"peek:{key[:16]}"):
+                raise faults.InjectedFault(f"injected cache_read at {path.name}")
+            header = handle.read(_MMAP_HEADER.size)
+            meta_len = _envelope_length(header, os.fstat(handle.fileno()).st_size)
+            envelope = _unpack_meta_blob(header, handle.read(meta_len))
+    except FileNotFoundError:
         return None
-    if magic == _MMAP_MAGIC:
-        try:
-            with open(path, "rb") as handle:
-                if faults.fires("cache_read", token):
-                    raise faults.InjectedFault(
-                        f"injected cache_read at {path.name}"
-                    )
-                header = handle.read(_MMAP_HEADER.size)
-                if len(header) < _MMAP_HEADER.size:
-                    raise ValueError("mmap blob shorter than its header")
-                _, _, meta_len, _ = _MMAP_HEADER.unpack(header)
-                envelope = _unpack_meta_blob(header, handle.read(meta_len))
-        except FileNotFoundError:
-            return None
-        except Exception as exc:
-            PERF.cache_read_errors += 1
-            _log.warning(
-                "cache blob %s rejected (%s: %s); deleting",
-                path,
-                type(exc).__name__,
-                exc,
-            )
-            _delete_corrupt(path)
-            return None
-        months = sorted(envelope["columns"])
-    else:
-        envelope = _read_blob(path, token)
-        if envelope is None:
-            return None
-        months = sorted(envelope.get("records", {}).get("months", ()))
+    except Exception as exc:
+        PERF.cache_read_errors += 1
+        _log.warning(
+            "cache blob %s rejected (%s: %s); deleting",
+            path,
+            type(exc).__name__,
+            exc,
+        )
+        _delete_corrupt(path)
+        return None
     return {
         "format": envelope.get("format"),
         "key": envelope.get("key"),
         "meta": envelope.get("meta", {}),
         "indexes": envelope.get("indexes", {}),
-        "months": [_dt.date.fromordinal(o) for o in months],
+        "months": [_dt.date.fromordinal(o) for o in sorted(envelope["columns"])],
     }
 
 
@@ -781,6 +702,15 @@ def peek_meta(key: str) -> dict | None:
 
 def save_store(store, key: str, meta: dict | None = None) -> Path | None:
     """Atomically persist a finished store under its dataset key.
+
+    A spill-backed store (every run's out-of-core adoption) already
+    holds its column bytes in a region file, so its blob is sealed by
+    splicing that file — never paging a column in.  Any other store
+    streams its months through a
+    :class:`~repro.engine.partition.PackedMerge`: the store's own, or a
+    pack of its records when it holds raw ones.  Day-carrying months
+    (Monte-Carlo stores) have no raw column layout and raise
+    ``ValueError``.
 
     Disk failures are swallowed (counted in PERF): a cache that cannot
     be written must never take the computed result down with it.  Every
@@ -791,52 +721,20 @@ def save_store(store, key: str, meta: dict | None = None) -> Path | None:
         # standard figure queries without touching a single record.
         indexes = store.index_payloads()
         token = f"save:{key[:16]}"
-        path = None
-        wrote = False
-        if _mmap_format_enabled():
-            # Spill-backed stores (the parallel runner's out-of-core
-            # path) already hold their column bytes in a region file:
-            # seal the blob by splicing it, never paging columns in.
-            spill = getattr(store, "packed_spill", lambda: None)()
-            if spill is not None:
-                path = _write_spill_blob(
-                    store_path(key), key, dict(meta or {}), spill,
-                    indexes, token,
-                )
-                wrote = True
-        if not wrote and _mmap_format_enabled():
-            # The fully-columnar fast path: stream the store's merged
-            # months straight to the blob — no record round trip, no
-            # whole-dataset merged copy.  At scale the alternative
-            # would dwarf the dataset itself.
-            merge = getattr(store, "packed_merge", lambda: None)()
-            if merge is not None and not merge.has_days:
-                path = _write_mmap_blob(
-                    store_path(key), key, dict(meta or {}),
-                    _MergeSource(merge), indexes, token,
-                )
-                wrote = True
-        if not wrote:
-            packed = None
-            packed_payload = getattr(store, "packed_payload", None)
-            if packed_payload is not None:
-                packed = packed_payload()
-            if packed is None:
-                packed = pack_records(store.records())
-            if _mmap_format_enabled() and _mmap_packable(packed):
-                path = _write_mmap_blob(
-                    store_path(key), key, dict(meta or {}),
-                    _PayloadSource(packed), indexes, token,
-                )
-            else:
-                payload = {
-                    "format": CACHE_FORMAT,
-                    "key": key,
-                    "meta": dict(meta or {}),
-                    "records": packed,
-                    "indexes": indexes,
-                }
-                path = _write_blob(store_path(key), payload, token)
+        spill = store.packed_spill()
+        if spill is not None:
+            path = _write_spill_blob(
+                store_path(key), key, dict(meta or {}), spill, indexes, token,
+            )
+        else:
+            merge = store.packed_merge()
+            if merge is None:
+                merge = PackedMerge([pack_records(store.records())])
+            if merge.has_days:
+                raise ValueError("day-carrying months cannot be cached")
+            path = _write_mmap_blob(
+                store_path(key), key, dict(meta or {}), merge, indexes, token,
+            )
         if path is not None:
             _log.debug("dataset cached at %s", path)
             emit_event("cache_save", key=key[:16], path=str(path))
@@ -855,10 +753,7 @@ def load_store(key: str):
     path = store_path(key)
     started = time.perf_counter()
     with span("cache_load", key=key[:16]), _gc_paused():
-        if _sniff_magic(path) == _MMAP_MAGIC:
-            payload = _read_mmap_blob(path, f"load:{key[:16]}")
-        else:
-            payload = _read_blob(path, f"load:{key[:16]}")
+        payload = _read_mmap_blob(path, f"load:{key[:16]}")
         if payload is not None:
             if (
                 payload.get("format") != CACHE_FORMAT
@@ -949,16 +844,6 @@ def _lock_path(key: str) -> Path:
     return cache_dir() / f"expectation-{key[:40]}.lock"
 
 
-def _lock_stale_seconds() -> float:
-    env = os.environ.get("REPRO_CACHE_LOCK_STALE", "").strip()
-    if env:
-        try:
-            return max(1.0, float(env))
-        except ValueError:
-            pass
-    return DEFAULT_LOCK_STALE_SECONDS
-
-
 @contextlib.contextmanager
 def build_lock(key: str):
     """Advisory per-key build lock; yields True when this process holds it.
@@ -984,7 +869,7 @@ def build_lock(key: str):
                     age = time.time() - path.stat().st_mtime
                 except OSError:
                     continue  # holder vanished between open and stat; retry
-                if age > _lock_stale_seconds():
+                if age > DEFAULT_LOCK_STALE_SECONDS:
                     _log.warning(
                         "breaking stale build lock %s (age %.0fs)", path, age
                     )

@@ -180,9 +180,9 @@ def shippable_plan() -> FaultPlan | None:
 def suppressed():
     """Disable every injection site inside the block.
 
-    The engine's last-resort paths (inline chunk re-run, the plain
-    serial fallback of a resumed month) run under this, which is what
-    makes recovery terminate even at 100% fault rates.
+    The engine's in-parent chunk runs (serial run, inline backend,
+    last-resort chunk re-run) execute under this, which is what makes
+    recovery terminate even at 100% fault rates.
     """
     global _SUPPRESS
     _SUPPRESS += 1

@@ -13,9 +13,9 @@ caches, packs the resulting records into compact partitions
 (:mod:`repro.engine.partition`), and the parent merges partitions into
 one :class:`~repro.notary.store.NotaryStore`.  Because a month's
 records always come from exactly one chunk, in generation order, the
-merged store is *identical* to a serial run — including float summation
-order in every aggregate — no matter how chunks are grouped, retried,
-or resharded.
+merged store is *identical* to the plain record-level generator loop —
+including float summation order in every aggregate — no matter how
+chunks are grouped, retried, or resharded.
 
 Failure handling, in escalation order:
 
@@ -32,12 +32,20 @@ Failure handling, in escalation order:
   which is what guarantees termination even at 100% injected fault
   rates.
 
-Finished chunks are immediately spilled as per-month checkpoint files
-(:class:`repro.engine.cache.Checkpoint`), so a run killed outright can
-resume (``resume=True`` / ``--resume`` / ``REPRO_RESUME=1``) and
-re-simulate only the months that never completed.  Checkpoints are
-cleared when a run finishes cleanly; ``REPRO_CHECKPOINT=0`` disables
-the spill entirely.
+Every path turns months into packed columns through one loop,
+:func:`_pack_months` (generate → ``StreamPacker`` → per-month duration
+histogram).  The pool entry :func:`_run_chunk` wraps it with the fault
+points and a perf/span snapshot; :func:`_run_chunk_inline` wraps it
+fault-suppressed for the parent.  A serial run (``workers`` ≤ 1, or a
+single month) is the same scheduler with one inline chunk, so it shares
+checkpoint resume, out-of-core spill and index prebuild with every
+backend.
+
+Finished chunks of a multi-chunk run are immediately spilled as
+per-month checkpoint files (:class:`repro.engine.cache.Checkpoint`), so
+a run killed outright can resume (``resume=True`` / ``--resume`` /
+``REPRO_RESUME=1``) and re-simulate only the months that never
+completed.  Checkpoints are cleared when a run finishes cleanly.
 
 This module is pure *policy*: chunking, sliding-window submission,
 retry/backoff, deadlines with kill-and-reshard, checkpoint adoption,
@@ -52,7 +60,7 @@ backend-agnostic; the differential and fault suites assert every
 backend produces byte-identical stores.
 
 Worker count resolution: explicit argument, else ``REPRO_WORKERS``,
-else ``os.cpu_count()``.  ``0`` or ``1`` takes the serial fallback;
+else ``os.cpu_count()``.  ``0`` or ``1`` runs serially (one inline chunk);
 negative values are malformed and fall back to the CPU count.  A count
 beyond twice the CPU count is honored but flagged — a diagnostic
 warning plus the ``oversubscription_warnings`` counter — instead of
@@ -230,15 +238,6 @@ def _resume_enabled(explicit: bool | None) -> bool:
     )
 
 
-def _checkpoint_enabled() -> bool:
-    return os.environ.get("REPRO_CHECKPOINT", "").strip().lower() not in (
-        "0",
-        "false",
-        "no",
-        "off",
-    )
-
-
 @dataclass
 class _Chunk:
     """One unit of schedulable work: a contiguous span of months."""
@@ -277,35 +276,23 @@ def _make_chunks(
 
 @dataclass
 class _SpillState:
-    """Out-of-core adoption state for one parallel run.
+    """Out-of-core adoption state for one run.
 
     ``spill`` is the :class:`repro.engine.cache.BlobSpill` month columns
     stream into as chunks finish (None after a region-write failure —
     the run then degrades to in-memory adoption); ``indexes`` collects
     each month's aggregate-index payload, built while the chunk's
     columns are still resident so nothing ever pages the mapped region
-    back in.
+    back in.  The spill writes to an anonymous temp file, so it works
+    with the dataset cache disabled.
     """
 
     spill: object = None
     indexes: dict = field(default_factory=dict)
 
 
-def _spill_enabled() -> bool:
-    """Whether adopted chunks spill to an mmap-backed region file.
-
-    Follows the cache wire format: ``REPRO_CACHE_FORMAT=pickle`` keeps
-    the legacy all-in-memory adoption (whose save path needs the
-    materialized payload anyway).  The spill itself writes to an
-    anonymous temp file, so it works with the dataset cache disabled.
-    """
-    from repro.engine import cache as dataset_cache
-
-    return dataset_cache._mmap_format_enabled()
-
-
-def _spill_or_attach(store: NotaryStore, state: _SpillState | None, payload: dict) -> None:
-    """Adopt one packed payload: out-of-core when spilling, else attach.
+def _spill_or_attach(store: NotaryStore, state: _SpillState, payload: dict) -> None:
+    """Adopt one packed payload out-of-core (in memory after a spill failure).
 
     The month's aggregate indexes are built first, while the payload's
     columns are ordinary resident arrays.  A region-write failure
@@ -313,7 +300,7 @@ def _spill_or_attach(store: NotaryStore, state: _SpillState | None, payload: dic
     already spilled — their mapped columns re-attach as a dataset — and
     permanently degrades this run to in-memory adoption.
     """
-    if state is not None and state.spill is not None:
+    if state.spill is not None:
         from repro.engine import cache as dataset_cache
         from repro.notary.store import build_index_payloads
 
@@ -363,13 +350,62 @@ def _init_worker(
         obs.adopt_trace(trace_id)
 
 
-def _run_chunk(job: tuple[int, int, list[_dt.date]]) -> dict:
-    """Run one month chunk; return a packed partition + perf snapshot.
+def _pack_months(
+    clients, servers, months: list[_dt.date], token: str, scale: int = 1
+) -> dict:
+    """The one month loop: generate each month straight into a packer.
 
-    Fault-injection sites live here: a hang/crash at chunk start, a
-    crash between months, and payload corruption after packing — each
-    drawn deterministically from the (chunk, attempt) token so retries
-    re-draw and schedules reproduce exactly.
+    Records stream into the :class:`StreamPacker`, so a month's record
+    objects never coexist and RSS stays bounded at any ``--scale`` (the
+    store-then-pack round trip would be O(records)).  ``token`` names
+    the chunk attempt for the between-months crash site, which is inert
+    under :func:`repro.engine.faults.suppressed`.
+    """
+    generator = TrafficGenerator(clients, servers, PassiveMonitor(), scale=scale)
+    packer = StreamPacker()
+    for month in months:
+        faults.crash_point("month_crash", f"{token}.m{month.isoformat()}")
+        month_started = time.perf_counter()
+        with obs.span("simulate_month", month=month.isoformat()):
+            packer.extend(generator.stream_expectation_month(month))
+        # Per-month duration histogram: a worker ships it in its perf
+        # snapshot and the parent folds it bucket-by-bucket, so the
+        # fleet's per-month latency *distribution* survives into
+        # stats --json (schema 6) instead of only chunk totals.
+        PERF.observe_duration(
+            "simulate_month_seconds",
+            time.perf_counter() - month_started,
+        )
+    return packer.finish()
+
+
+def _chunk_part(
+    packed: dict, months: list[_dt.date], started: float, chunk, attempt,
+    worker: str, perf=None, spans=None,
+) -> dict:
+    """A finished chunk as the scheduler adopts it.  ``chunk``/``attempt``/
+    ``pid``/``worker`` are the attribution the trace analyzer joins on."""
+    return {
+        "packed": packed,
+        "perf": perf,
+        "spans": spans,
+        "wall": time.perf_counter() - started,
+        "chunk": chunk,
+        "attempt": attempt,
+        "months": [m.isoformat() for m in months],
+        "pid": os.getpid(),
+        "worker": worker,
+    }
+
+
+def _run_chunk(job: tuple[int, int, list[_dt.date]]) -> dict:
+    """Pool entry: run one month chunk; return a packed partition + perf snapshot.
+
+    Fault-injection sites live here and in :func:`_pack_months`: a
+    hang/crash at chunk start, a crash between months, and payload
+    corruption after packing — each drawn deterministically from the
+    (chunk, attempt) token so retries re-draw and schedules reproduce
+    exactly.
     """
     chunk_id, attempt, months = job
     token = f"c{chunk_id}.a{attempt}"
@@ -379,49 +415,25 @@ def _run_chunk(job: tuple[int, int, list[_dt.date]]) -> dict:
     PERF.reset()
     obs.reset_spans()  # one snapshot per chunk, even when a worker reruns
     with obs.span("run_chunk", chunk=chunk_id, attempt=attempt, months=len(months)):
-        generator = TrafficGenerator(
-            _WORKER["clients"],
-            _WORKER["servers"],
-            PassiveMonitor(),
+        packed = _pack_months(
+            _WORKER["clients"], _WORKER["servers"], months, token,
             scale=_WORKER.get("scale", 1),
         )
-        # Records stream straight into the packer: a month's record
-        # objects never coexist, so worker RSS stays bounded at any
-        # --scale (the store-then-pack round trip would be O(records)).
-        packer = StreamPacker()
-        for month in months:
-            faults.crash_point("month_crash", f"{token}.m{month.isoformat()}")
-            month_started = time.perf_counter()
-            with obs.span("simulate_month", month=month.isoformat()):
-                packer.extend(generator.stream_expectation_month(month))
-            # Worker-side duration histogram: ships in the perf snapshot
-            # and folds bucket-by-bucket in the parent's merge, so the
-            # fleet's per-month latency *distribution* survives into
-            # stats --json (schema 6) instead of only chunk totals.
-            PERF.observe_duration(
-                "simulate_month_seconds",
-                time.perf_counter() - month_started,
-            )
-        packed = packer.finish()
     if faults.fires("pack_corrupt", token):
         packed = faults.corrupt_partition(packed, token)
-    return {
-        "packed": packed,
-        "perf": PERF.snapshot(),
-        "spans": obs.snapshot_spans(),
-        "wall": time.perf_counter() - started,
-        # Attribution the trace analyzer joins on: which process ran
-        # which chunk attempt over which months.
-        "chunk": chunk_id,
-        "attempt": attempt,
-        "months": [m.isoformat() for m in months],
-        "pid": os.getpid(),
-        "worker": multiprocessing.current_process().name,
-    }
+    return _chunk_part(
+        packed, months, started, chunk_id, attempt,
+        multiprocessing.current_process().name,
+        perf=PERF.snapshot(), spans=obs.snapshot_spans(),
+    )
 
 
-def _run_chunk_inline(clients, servers, months: list[_dt.date], scale: int = 1) -> dict:
-    """Last-resort serial re-run of one chunk in the parent process.
+def _run_chunk_inline(
+    clients, servers, months: list[_dt.date], scale: int = 1,
+    chunk: int | None = None, attempt: int | None = None,
+) -> dict:
+    """Run one chunk in the parent process: the serial path, the inline
+    backend, and the last-resort fallback.
 
     Runs with fault injection suppressed — this is the path that makes
     recovery terminate no matter what the fault plan throws — and
@@ -429,26 +441,8 @@ def _run_chunk_inline(clients, servers, months: list[_dt.date], scale: int = 1) 
     """
     started = time.perf_counter()
     with faults.suppressed(), obs.span("run_chunk_inline", months=len(months)):
-        generator = TrafficGenerator(clients, servers, PassiveMonitor(), scale=scale)
-        packer = StreamPacker()
-        for month in months:
-            month_started = time.perf_counter()
-            with obs.span("simulate_month", month=month.isoformat()):
-                packer.extend(generator.stream_expectation_month(month))
-            PERF.observe_duration(
-                "simulate_month_seconds",
-                time.perf_counter() - month_started,
-            )
-    return {
-        "packed": packer.finish(),
-        "perf": None,
-        "wall": time.perf_counter() - started,
-        "chunk": None,
-        "attempt": None,
-        "months": [m.isoformat() for m in months],
-        "pid": os.getpid(),
-        "worker": "inline",
-    }
+        packed = _pack_months(clients, servers, months, "inline", scale=scale)
+    return _chunk_part(packed, months, started, chunk, attempt, "inline")
 
 
 def run_expectation(
@@ -473,41 +467,39 @@ def run_expectation(
     count = resolve_workers(workers)
     factor = resolve_scale(scale)
     chosen = executors.resolve_backend(backend)
-    serial = count <= 1 or len(months) < 2
+    if count <= 1 or len(months) < 2:
+        count, chosen = 0, "serial"
     obs.begin_run(
         "expectation",
         start=start.isoformat(),
         end=end.isoformat(),
         months=len(months),
-        workers=0 if serial else count,
+        workers=count,
         scale=factor,
-        backend="serial" if serial else chosen,
+        backend=chosen,
     )
     _log.info(
         "expectation run %s..%s: %d month(s), %s, scale %d",
         start.isoformat(), end.isoformat(), len(months),
-        "serial" if serial else f"{count} workers ({chosen})", factor,
+        f"{count} workers ({chosen})" if count else "serial", factor,
     )
     with obs.profiled("run_expectation"), obs.span(
-        "run_expectation", months=len(months), workers=0 if serial else count
+        "run_expectation", months=len(months), workers=count
     ):
-        if serial:
-            store = _run_serial(clients, servers, start, end, scale=factor)
-        else:
-            store = _run_parallel(
-                clients,
-                servers,
-                start,
-                end,
-                months,
-                count,
-                resume=_resume_enabled(resume),
-                timeout=resolve_chunk_timeout(chunk_timeout),
-                per_chunk=resolve_chunk_months(chunk_months),
-                max_attempts=max(1, max_attempts),
-                scale=factor,
-                backend=chosen,
-            )
+        store = _run_parallel(
+            clients,
+            servers,
+            start,
+            end,
+            months,
+            count,
+            resume=_resume_enabled(resume),
+            timeout=resolve_chunk_timeout(chunk_timeout),
+            per_chunk=resolve_chunk_months(chunk_months),
+            max_attempts=max(1, max_attempts),
+            scale=factor,
+            backend=chosen,
+        )
     obs.end_run(
         "expectation",
         records=len(store),
@@ -537,28 +529,21 @@ def _run_parallel(
     scale: int = 1,
     backend: str = "fork",
 ) -> NotaryStore:
+    """Resume, schedule, spill and index one run (``count`` 0 = serial)."""
+    from repro.engine import cache as dataset_cache
+
     started = time.perf_counter()
     PERF.workers = count
     PERF.worker_wall_times = []
     PERF.chunk_attribution = []
     store = NotaryStore()
-
-    checkpoint = None
-    if _checkpoint_enabled():
-        from repro.engine import cache as dataset_cache
-
-        checkpoint = dataset_cache.Checkpoint(
-            dataset_cache.dataset_key(clients, servers, start, end, scale=scale)
-        )
-
-    state = None
-    if _spill_enabled():
-        from repro.engine import cache as dataset_cache
-
-        state = _SpillState(spill=dataset_cache.BlobSpill())
+    checkpoint = dataset_cache.Checkpoint(
+        dataset_cache.dataset_key(clients, servers, start, end, scale=scale)
+    )
+    state = _SpillState(spill=dataset_cache.BlobSpill())
 
     done: set[_dt.date] = set()
-    if checkpoint is not None and resume:
+    if resume:
         with obs.span("resume_checkpoints"):
             for month, payload in checkpoint.load_months(months):
                 _spill_or_attach(store, state, payload)
@@ -571,10 +556,12 @@ def _run_parallel(
 
     if remaining:
         if len(remaining) == 1 or count < 2:
+            # One inline chunk (the serial run).  No checkpoints: they
+            # would be cleared the moment they were written.
             _adopt(
-                store, checkpoint,
+                store, None,
                 _run_chunk_inline(clients, servers, remaining, scale=scale),
-                inline=True, state=state,
+                state,
             )
         else:
             _run_chunked(
@@ -584,16 +571,14 @@ def _run_parallel(
                 backend=backend,
             )
 
-    if state is not None:
-        if state.spill is not None:
-            payload = state.spill.finish_payload()
-            if payload["months"]:
-                store.attach_packed(PackedDataset(payload), idempotent=True)
-        if state.indexes:
-            store.install_index_payloads(state.indexes)
+    if state.spill is not None:
+        payload = state.spill.finish_payload()
+        if payload["months"]:
+            store.attach_packed(PackedDataset(payload), idempotent=True)
+    if state.indexes:
+        store.install_index_payloads(state.indexes)
 
-    if checkpoint is not None:
-        checkpoint.clear()
+    checkpoint.clear()
     PERF.run_seconds = time.perf_counter() - started
     return store
 
@@ -609,8 +594,8 @@ def _run_chunked(
     timeout: float,
     per_chunk: int | None,
     max_attempts: int,
+    state: _SpillState,
     scale: int = 1,
-    state: _SpillState | None = None,
     backend: str = "fork",
 ) -> None:
     """The retry/timeout/reshard scheduling loop, one executor per round.
@@ -630,15 +615,13 @@ def _run_chunked(
         return chunk
 
     def run_job_inline(job: tuple[int, int, list[_dt.date]]) -> dict:
-        # The inline backend's parent-process twin of _run_chunk: the
-        # fault-suppressed serial path with the job's attribution
-        # grafted on (perf stays None — counters were incremented in
-        # the parent directly, so there is no snapshot to merge).
+        # The inline backend's parent-process twin of _run_chunk (perf
+        # stays None — counters were incremented in the parent
+        # directly, so there is no snapshot to merge).
         chunk_id, attempt, span = job
-        part = _run_chunk_inline(clients, servers, span, scale=scale)
-        part["chunk"] = chunk_id
-        part["attempt"] = attempt
-        return part
+        return _run_chunk_inline(
+            clients, servers, span, scale=scale, chunk=chunk_id, attempt=attempt
+        )
 
     spec = executors.WorkSpec(
         pool_fn=_run_chunk,
@@ -674,7 +657,7 @@ def _run_chunked(
                 _adopt(
                     store, checkpoint,
                     _run_chunk_inline(clients, servers, chunk.months, scale=scale),
-                    inline=True, state=state,
+                    state,
                 )
             else:
                 batch.append(chunk)
@@ -762,13 +745,7 @@ def _run_chunked(
                     )
                 else:
                     if validate_payload(part["packed"], chunk.months):
-                        # A part without a perf snapshot ran in the
-                        # parent (inline backend): its counters are
-                        # already live, only its wall gets recorded.
-                        _adopt(
-                            store, checkpoint, part,
-                            inline=part.get("perf") is None, state=state,
-                        )
+                        _adopt(store, checkpoint, part, state)
                     else:
                         failed.append(chunk)
                         _log.warning(
@@ -818,63 +795,29 @@ def _run_chunked(
             time.sleep(delay)
 
 
-def _adopt(
-    store: NotaryStore,
-    checkpoint,
-    part: dict,
-    inline: bool = False,
-    state: _SpillState | None = None,
-) -> None:
+def _adopt(store: NotaryStore, checkpoint, part: dict, state: _SpillState) -> None:
     """Merge one finished chunk: perf fold, span fold, attribution,
-    checkpoint spill, then out-of-core spill (or lazy in-memory attach)."""
-    if not inline and part["perf"] is not None:
-        PERF.merge_worker(part["perf"], part["wall"])
-    elif inline:
+    checkpoint spill, then out-of-core spill (or lazy in-memory attach).
+
+    A part without a perf snapshot ran in the parent (serial, inline
+    backend, or fallback): its counters are already live, only its
+    wall gets recorded.
+    """
+    inline = part["perf"] is None
+    if inline:
         PERF.worker_wall_times.append(part["wall"])
+    else:
+        PERF.merge_worker(part["perf"], part["wall"])
     PERF.observe_duration("chunk_seconds", part["wall"])
-    if part.get("spans"):
+    if part["spans"]:
         obs.merge_worker_spans(part["spans"])
     attribution = {
-        "chunk": part.get("chunk"),
-        "attempt": part.get("attempt"),
-        "months": part.get("months", []),
-        "pid": part.get("pid"),
-        "worker": part.get("worker"),
-        "wall": part["wall"],
-        "inline": inline,
+        key: part[key]
+        for key in ("chunk", "attempt", "months", "pid", "worker", "wall")
     }
+    attribution["inline"] = inline
     PERF.chunk_attribution.append(attribution)
     obs.emit_event("chunk_done", **attribution)
     if checkpoint is not None:
         checkpoint.save_months(split_by_month(part["packed"]))
     _spill_or_attach(store, state, part["packed"])
-
-
-def _run_serial(
-    clients, servers, start: _dt.date, end: _dt.date, scale: int = 1
-) -> NotaryStore:
-    """The zero-worker fallback: one generator, shared caches.
-
-    Streams months straight into packed columnar form like the workers
-    do, so serial runs keep the same bounded-memory profile at any
-    ``scale`` — and the returned store answers from the same fast tiers
-    a parallel (or cache-loaded) store does.
-    """
-    started = time.perf_counter()
-    PERF.workers = 0
-    PERF.worker_wall_times = []
-    PERF.chunk_attribution = []
-    with obs.span("run_serial"):
-        generator = TrafficGenerator(clients, servers, PassiveMonitor(), scale=scale)
-        packer = StreamPacker()
-        for month in month_range(start, end):
-            month_started = time.perf_counter()
-            packer.extend(generator.stream_expectation_month(month))
-            PERF.observe_duration(
-                "simulate_month_seconds",
-                time.perf_counter() - month_started,
-            )
-        store = NotaryStore()
-        store.attach_packed(PackedDataset(packer.finish()))
-    PERF.run_seconds = time.perf_counter() - started
-    return store

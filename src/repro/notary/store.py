@@ -421,7 +421,7 @@ class _ShapeView:
 def build_index_payloads(payload: dict) -> dict[int, dict]:
     """Serializable aggregate indexes for one packed payload's months.
 
-    The parallel runner calls this per adopted chunk, while the chunk's
+    The runner calls this per adopted chunk, while the chunk's
     columns are still ordinary resident arrays — so by the time the
     dataset lives behind an mmap, every month's index already exists
     and neither the cache save nor a later ``stats`` query has to page
@@ -723,22 +723,6 @@ class NotaryStore:
         if set(payload["months"]) != {m.toordinal() for m in self._packed}:
             return None
         return spill
-
-    def packed_payload(self) -> dict | None:
-        """One merged in-memory payload covering the whole store, or
-        None (the materializing wrapper over :meth:`packed_merge`)."""
-        merge = self.packed_merge()
-        if merge is None:
-            return None
-        from repro.engine.partition import build_shape_matrix, PARTITION_FORMAT
-
-        months = {month_ord: columns for month_ord, columns in merge.months()}
-        return {
-            "format": PARTITION_FORMAT,
-            "shapes": merge.shapes,
-            "months": months,
-            "shape_matrix": build_shape_matrix(merge.shapes),
-        }
 
     # ---- shape-level access (figure fast paths) ----------------------------
 

@@ -95,7 +95,7 @@ class _Worker:
         self.barrier = barrier
         self.latencies: list[float] = []
         self.statuses: dict[int, int] = {}
-        self.errors = 0
+        self.correct = 0
 
     def _connect(self) -> http.client.HTTPConnection:
         conn = http.client.HTTPConnection(
@@ -109,15 +109,21 @@ class _Worker:
         return conn
 
     def run(self) -> None:
+        # Only correct answers are counted: the report's errors are the
+        # requests that never got one, so a failed request — or the
+        # unsent rest of a share whose thread died on an unexpected
+        # exception — can never read as success.
+        #
         # A failed initial connect (wrong port, server gone) must NOT
         # kill the thread before the barrier — the main thread would
-        # wait on it forever.  Count the share as errors and let the
-        # per-request loop keep retrying the connect instead.
+        # wait on it forever.  The per-request loop keeps retrying the
+        # connect instead.
         try:
             conn = self._connect()
         except OSError:
             conn = None
-        self.barrier.wait()
+        finally:
+            self.barrier.wait()
         for i in range(self.share):
             method, path, body = self.workload[
                 (self.offset + i) % len(self.workload)
@@ -129,7 +135,6 @@ class _Worker:
                 try:
                     conn = self._connect()
                 except OSError:
-                    self.errors += 1
                     continue
             started = time.perf_counter()
             try:
@@ -137,7 +142,6 @@ class _Worker:
                 response = conn.getresponse()
                 payload = response.read()
             except OSError:
-                self.errors += 1
                 conn.close()
                 conn = None
                 continue
@@ -145,12 +149,12 @@ class _Worker:
             status = response.status
             self.statuses[status] = self.statuses.get(status, 0) + 1
             if status >= 400:
-                self.errors += 1
                 continue
             try:
                 json.loads(payload)
             except (json.JSONDecodeError, UnicodeDecodeError):
-                self.errors += 1
+                continue
+            self.correct += 1
         if conn is not None:
             conn.close()
 
@@ -277,6 +281,8 @@ def run_loadtest(
     :func:`evaluate_slo` result, with the server's sliding-window view
     attached as ``slo["window"]``) only when ``slo`` objectives are
     passed, so SLO-less reports keep their exact historical shape.
+    ``errors`` is every request that did not get a correct answer (a
+    status below 400 with a JSON body), sent or not.
     """
     if requests < 1:
         raise ValueError("requests must be >= 1")
@@ -308,7 +314,7 @@ def run_loadtest(
     for w in workers:
         for status, count in w.statuses.items():
             statuses[status] = statuses.get(status, 0) + count
-    errors = sum(w.errors for w in workers)
+    errors = requests - sum(w.correct for w in workers)
     report = {
         "url": f"http://{host}:{port}",
         "requests": requests,

@@ -33,6 +33,25 @@ def server_population():
 
 
 @pytest.fixture(scope="session")
+def record_level_store(client_population, server_population):
+    """Factory for the record-level oracle over ``[start, end)``.
+
+    The plain generator loop into a :class:`PassiveMonitor` — no run
+    engine, no packing, no spill — so it stays an independent reference
+    for every engine path (serial included) that must match it exactly.
+    """
+
+    def build(start: dt.date, end: dt.date):
+        monitor = PassiveMonitor()
+        TrafficGenerator(
+            client_population, server_population, monitor
+        ).run_expectation(start, end)
+        return monitor.store
+
+    return build
+
+
+@pytest.fixture(scope="session")
 def small_window_store(client_population, server_population):
     """Expectation-mode store over 2014-06 .. 2015-06 (13 months)."""
     monitor = PassiveMonitor()

@@ -65,6 +65,11 @@ class TestRunRecord:
             assert "counters" in record and "anchors" in record
         json.dumps(fast_run)  # the whole document is JSON-safe
 
+    def test_render_shows_a_missing_metric_as_dash(self, fast_run):
+        run = copy.deepcopy(fast_run)
+        run["records"][0]["metrics"] = {"ratio": None}
+        assert "ratio=-" in bench.render_run(run)
+
     def test_profile_disabled_by_default(self, fast_run):
         assert fast_run["profile"] is None
 

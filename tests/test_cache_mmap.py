@@ -1,25 +1,26 @@
 """Differential suite for the mmap-format dataset cache and the spill path.
 
-The cache grew a second on-disk format (magic ``RPM1``): a compressed
+The dataset cache has one on-disk format (magic ``RPM1``): a compressed
 metadata envelope up front, raw column bytes behind it, loaded by
 memory-mapping the region instead of unpickling the dataset.  The suite
 pins the format's contracts:
 
-* a store loaded from an mmap blob answers the randomized composite
-  query suite (the same generator the serve tests hammer with)
-  **identically** to a store loaded from a legacy pickle blob of the
-  same dataset — and both match the original store exactly;
-* the legacy format still round-trips (``REPRO_CACHE_FORMAT=pickle``)
-  and old blobs load fine with the mmap format enabled — migration is
-  a cache rebuild, never a flag day;
-* ``peek_meta`` serves run metadata from either format;
+* a store loaded from a blob answers the randomized composite query
+  suite (the same generator the serve tests hammer with) **identically**
+  to the original store;
+* a blob in any other format at the dataset path (such as the retired
+  footer-sealed pickle) is a counted miss that is deleted and rebuilt —
+  migration is a cache rebuild, never a flag day;
+* ``peek_meta`` serves run metadata from the envelope alone;
 * torn/corrupted blobs (truncated region, flipped column byte, damaged
   envelope) are rejected *and deleted*, never half-loaded;
-* ``BlobSpill`` — the out-of-core adoption sink behind ``--scale`` —
+* ``BlobSpill`` — the out-of-core adoption sink every run feeds —
   produces a payload whose query answers are byte-identical to the
   in-memory merge of the same chunk payloads, seals through
   ``save_store`` via the region-splice path, and survives idempotent
-  re-adoption.
+  re-adoption;
+* day-carrying (Monte-Carlo) payloads have no raw column layout, so
+  both the spill and ``save_store`` refuse them.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from repro.engine.partition import (
     pack_records,
     split_by_month,
 )
+from repro.engine.perf import PERF
 from repro.notary.store import NotaryStore
 from repro.serve import wire
 from tests.test_serve import _random_query
@@ -76,18 +78,7 @@ def packed_store(small_window_store):
 def _save_mmap(store, key=KEY):
     path = dataset_cache.save_store(store, key, META)
     assert path is not None
-    assert dataset_cache._sniff_magic(path) == b"RPM1"
-    return path
-
-
-def _save_pickle(store, monkeypatch, key=KEY):
-    monkeypatch.setenv("REPRO_CACHE_FORMAT", "pickle")
-    try:
-        path = dataset_cache.save_store(store, key, META)
-    finally:
-        monkeypatch.delenv("REPRO_CACHE_FORMAT")
-    assert path is not None
-    assert dataset_cache._sniff_magic(path) != b"RPM1"
+    assert path.read_bytes()[:4] == b"RPM1"
     return path
 
 
@@ -109,54 +100,47 @@ def _assert_stores_identical(a, b, rng_seed=0x5CA1E):
     assert a.records() == b.records()
 
 
-class TestMmapVsPickle:
-    def test_mmap_load_equals_pickle_load_equals_original(
-        self, _tmp_cache, packed_store, monkeypatch
-    ):
-        _save_mmap(packed_store, "a" * 64)
-        _save_pickle(packed_store, monkeypatch, "b" * 64)
-        mmap_store = dataset_cache.load_store("a" * 64)
-        pickle_store = dataset_cache.load_store("b" * 64)
-        assert mmap_store is not None and pickle_store is not None
-        _assert_stores_identical(mmap_store, pickle_store)
+class TestMmapRoundTrip:
+    def test_mmap_load_equals_original(self, _tmp_cache, packed_store):
+        _save_mmap(packed_store)
+        mmap_store = dataset_cache.load_store(KEY)
+        assert mmap_store is not None
         _assert_stores_identical(mmap_store, packed_store, rng_seed=0xB0B)
 
-    def test_legacy_blob_loads_with_mmap_enabled(
-        self, _tmp_cache, packed_store, monkeypatch
+    def test_legacy_pickle_blob_is_a_counted_miss(
+        self, _tmp_cache, packed_store
     ):
-        # Migration: a blob written by the pickle format loads without
-        # REPRO_CACHE_FORMAT set (the reader sniffs, it never assumes).
-        _save_pickle(packed_store, monkeypatch)
-        warm = dataset_cache.load_store(KEY)
-        assert warm is not None
-        assert figures.fig1_negotiated_versions(warm) == (
-            figures.fig1_negotiated_versions(packed_store)
+        # A valid blob of the retired footer-sealed pickle format: the
+        # reader does not speak it, so it is a miss that gets deleted,
+        # and the rebuild re-seals in the current format.
+        path = dataset_cache.store_path(KEY)
+        dataset_cache._write_blob(
+            path,
+            {
+                "format": dataset_cache.CACHE_FORMAT,
+                "key": KEY,
+                "meta": META,
+                "records": pack_records(packed_store.records()),
+                "indexes": packed_store.index_payloads(),
+            },
+            "test",
         )
-
-    def test_mmap_blob_loads_with_pickle_format_requested(
-        self, _tmp_cache, packed_store, monkeypatch
-    ):
-        # And the reverse: the env knob only steers *writes*.
+        PERF.reset()
+        assert dataset_cache.load_store(KEY) is None
+        assert PERF.dataset_cache_misses == 1
+        assert PERF.cache_corrupt_deleted == 1
+        assert not path.exists()
         _save_mmap(packed_store)
-        monkeypatch.setenv("REPRO_CACHE_FORMAT", "pickle")
-        warm = dataset_cache.load_store(KEY)
-        assert warm is not None
-        assert len(warm) == len(packed_store)
+        assert dataset_cache.load_store(KEY) is not None
 
-    def test_peek_meta_serves_both_formats(
-        self, _tmp_cache, packed_store, monkeypatch
-    ):
-        for save in (
-            lambda: _save_mmap(packed_store),
-            lambda: _save_pickle(packed_store, monkeypatch),
-        ):
-            save()
-            peek = dataset_cache.peek_meta(KEY)
-            assert peek is not None
-            assert peek["key"] == KEY
-            assert peek["meta"]["start"] == META["start"]
-            assert peek["months"] == packed_store.months()
-            assert peek["indexes"]  # figure-ready counters ride along
+    def test_peek_meta_serves_envelope(self, _tmp_cache, packed_store):
+        _save_mmap(packed_store)
+        peek = dataset_cache.peek_meta(KEY)
+        assert peek is not None
+        assert peek["key"] == KEY
+        assert peek["meta"]["start"] == META["start"]
+        assert peek["months"] == packed_store.months()
+        assert peek["indexes"]  # figure-ready counters ride along
 
 
 class TestMmapCorruption:
@@ -255,6 +239,20 @@ class TestBlobSpill:
         spill = dataset_cache.BlobSpill()
         with pytest.raises(ValueError, match="day-carrying"):
             spill.add_payload(payload)
+
+    @pytest.mark.parametrize("packed", [False, True], ids=["records", "packed"])
+    def test_day_carrying_store_cannot_be_saved(
+        self, _tmp_cache, montecarlo_store, packed
+    ):
+        store = montecarlo_store
+        if packed:
+            store = NotaryStore()
+            store.attach_packed(
+                PackedDataset(pack_records(montecarlo_store.records()))
+            )
+        with pytest.raises(ValueError, match="day-carrying"):
+            dataset_cache.save_store(store, KEY, META)
+        assert not dataset_cache.store_path(KEY).exists()
 
     def test_wrong_partition_format_rejected(self):
         spill = dataset_cache.BlobSpill()

@@ -49,10 +49,9 @@ ALL_FIGURES = (
 
 
 @pytest.fixture(scope="module")
-def serial_store(client_population, server_population):
-    return runner.run_expectation(
-        client_population, server_population, START, END, workers=0
-    )
+def serial_store(record_level_store):
+    """The record-level oracle (plain generator loop, no run engine)."""
+    return record_level_store(START, END)
 
 
 @pytest.fixture(scope="module")

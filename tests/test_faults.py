@@ -53,11 +53,10 @@ def _hermetic(tmp_path, monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def baseline(client_population, server_population):
-    """The clean serial run every recovery must reproduce exactly."""
-    return runner.run_expectation(
-        client_population, server_population, START, END, workers=0
-    )
+def baseline(record_level_store):
+    """The record-level oracle every recovery must reproduce exactly
+    (plain generator loop: shares no scheduler or spill code)."""
+    return record_level_store(START, END)
 
 
 def assert_identical(store, baseline) -> None:
@@ -228,12 +227,18 @@ class TestCacheHygiene:
 class TestKillAndResume:
     """Checkpointed shards: a dead run resumes instead of restarting."""
 
-    @pytest.mark.parametrize("backend", list(executors.BACKENDS))
+    @pytest.mark.parametrize(
+        "workers, backend",
+        [pytest.param(2, backend, id=backend) for backend in executors.BACKENDS]
+        + [pytest.param(0, None, id="serial")],
+    )
     def test_resume_adopts_checkpointed_months(
-        self, client_population, server_population, baseline, backend
+        self, client_population, server_population, baseline, workers,
+        backend,
     ):
         """Checkpoint adoption is scheduler policy, so it must behave
-        identically on every execution backend."""
+        identically on every execution backend — and on a serial run,
+        which is the scheduler with one inline chunk."""
         if backend == "fork" and not executors.fork_available():
             pytest.skip("fork start method unavailable")
         key = dataset_cache.dataset_key(
@@ -245,7 +250,7 @@ class TestKillAndResume:
         PERF.reset()
         store = runner.run_expectation(
             client_population, server_population, START, END,
-            workers=2, resume=True, backend=backend,
+            workers=workers, resume=True, backend=backend,
         )
         assert PERF.resumed_months == len(seeded)
         assert_identical(store, baseline)
@@ -272,7 +277,8 @@ class TestKillAndResume:
         assert_identical(store, baseline)
 
     def test_sigkilled_run_resumes_from_checkpoints(
-        self, tmp_path, client_population, server_population
+        self, tmp_path, client_population, server_population,
+        record_level_store,
     ):
         """Kill a parallel run outright mid-flight, then resume it.
 
@@ -328,9 +334,7 @@ class TestKillAndResume:
             workers=2, resume=True,
         )
         assert PERF.resumed_months >= 1
-        serial = runner.run_expectation(
-            client_population, server_population, start, end, workers=0
-        )
+        serial = record_level_store(start, end)
         assert resumed.months() == serial.months()
         assert resumed.records() == serial.records()
         for figure in ALL_FIGURES:

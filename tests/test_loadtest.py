@@ -76,6 +76,20 @@ def test_loadtest_counts_http_errors(tiny_server):
     assert report["statuses"] == {"404": 10}
 
 
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+def test_unsent_share_of_a_dead_thread_counts_as_errors(tiny_server):
+    # A dict body makes http.client raise TypeError, which no request
+    # handler expects: every thread dies on its first request, and its
+    # whole share must still be reported as errors.
+    report = loadtest.run_loadtest(
+        tiny_server.url,
+        requests=10,
+        concurrency=2,
+        workload=[("POST", "/query", {"kind": "weight"})],
+    )
+    assert report["errors"] == report["requests"] == 10
+
+
 def test_requests_split_exactly_across_threads():
     assert loadtest._split_shares(10, 3) == [4, 3, 3]
     assert loadtest._split_shares(3, 8) == [1, 1, 1, 0, 0, 0, 0, 0]

@@ -48,11 +48,10 @@ def _hermetic(tmp_path, monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def baseline(client_population, server_population):
-    """A bare serial run: no metrics sink, the equivalence yardstick."""
-    return runner.run_expectation(
-        client_population, server_population, START, END, workers=0
-    )
+def baseline(record_level_store):
+    """The record-level oracle: no run engine, no metrics sink — the
+    equivalence yardstick."""
+    return record_level_store(START, END)
 
 
 def read_events(path: Path) -> list[dict]:

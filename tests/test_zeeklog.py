@@ -42,15 +42,20 @@ class TestExport:
         assert "Chrome" not in text.replace("TLS_", "")
 
 
-class TestRoundTrip:
-    def test_import_preserves_counts(self, exported):
-        path, rows, _ = exported
-        store = import_ssl_log(path)
-        assert len(store) == rows
+@pytest.fixture(scope="module")
+def restored(exported):
+    """The exported log imported back once, shared read-only."""
+    path, _, _ = exported
+    return import_ssl_log(path)
 
-    def test_import_preserves_monthly_fractions(self, exported):
-        path, _, original = exported
-        restored = import_ssl_log(path)
+
+class TestRoundTrip:
+    def test_import_preserves_counts(self, exported, restored):
+        _, rows, _ = exported
+        assert len(restored) == rows
+
+    def test_import_preserves_monthly_fractions(self, exported, restored):
+        _, _, original = exported
         month = dt.date(2015, 1, 1)
         for predicate in (
             lambda r: r.negotiated_mode_class == "RC4",
@@ -65,9 +70,8 @@ class TestRoundTrip:
                 )
             )
 
-    def test_import_preserves_fingerprints(self, exported):
-        path, _, original = exported
-        restored = import_ssl_log(path)
+    def test_import_preserves_fingerprints(self, exported, restored):
+        _, _, original = exported
         month = dt.date(2015, 1, 1)
         original_fps = {
             r.fingerprint for r in original.records(month) if r.fingerprint
@@ -77,11 +81,9 @@ class TestRoundTrip:
         }
         assert original_fps == restored_fps
 
-    def test_analysis_runs_on_imported_store(self, exported):
+    def test_analysis_runs_on_imported_store(self, restored):
         from repro.core import figures
 
-        path, _, _ = exported
-        restored = import_ssl_log(path)
         series = figures.fig2_negotiated_modes(restored)
         assert series["AEAD"]
 
