@@ -354,11 +354,9 @@ def bench_query_paths(ctx: BenchContext) -> dict:
     (``use_vector = False``), and vector — with every dataset-level
     compilation memo dropped per iteration, so each arm pays its full
     cold cost each time.  The gated ``vector_vs_scan_ratio`` comes from
-    here; when numpy is unavailable the vector arm and its metric are
-    simply omitted (the baseline gate skips missing metrics).
+    here.
     """
     from repro.engine.partition import PackedDataset, pack_records
-    from repro.notary import vector
     from repro.notary.query import ESTABLISHED, NegotiatedVersion
     from repro.notary.store import NotaryStore
 
@@ -445,8 +443,7 @@ def bench_query_paths(ctx: BenchContext) -> dict:
     structured_results = structured_scan_run()
     if structured_shape_run() != structured_results:
         raise RuntimeError("shape tier diverged from the scan (structured)")
-    with_vector = vector.available()
-    if with_vector and vector_run() != structured_results:
+    if vector_run() != structured_results:
         raise RuntimeError("vector tier diverged from the scan")
 
     s_scan_walls: list[float] = []
@@ -459,23 +456,21 @@ def bench_query_paths(ctx: BenchContext) -> dict:
         started = time.perf_counter()
         structured_shape_run()
         s_shape_walls.append(time.perf_counter() - started)
-        if with_vector:
-            started = time.perf_counter()
-            vector_run()
-            vector_walls.append(time.perf_counter() - started)
+        started = time.perf_counter()
+        vector_run()
+        vector_walls.append(time.perf_counter() - started)
     s_scan_wall = min(s_scan_walls)
     s_shape_wall = min(s_shape_walls)
     counters["structured_scan_wall_seconds"] = s_scan_wall
     counters["structured_shape_wall_seconds"] = s_shape_wall
-    if with_vector:
-        vector_wall = min(vector_walls)
-        counters["vector_wall_seconds"] = vector_wall
-        counters["vector_speedup"] = (
-            s_scan_wall / vector_wall if vector_wall > 0 else 0.0
-        )
-        metrics["vector_vs_scan_ratio"] = (
-            vector_wall / s_scan_wall if s_scan_wall > 0 else 1.0
-        )
+    vector_wall = min(vector_walls)
+    counters["vector_wall_seconds"] = vector_wall
+    counters["vector_speedup"] = (
+        s_scan_wall / vector_wall if vector_wall > 0 else 0.0
+    )
+    metrics["vector_vs_scan_ratio"] = (
+        vector_wall / s_scan_wall if s_scan_wall > 0 else 1.0
+    )
 
     return {
         "wall_seconds": shape_wall,
@@ -503,12 +498,8 @@ def bench_query_vector(ctx: BenchContext) -> dict:
     from repro.clients.population import default_population
     from repro.engine import runner
     from repro.engine.partition import PackedDataset, pack_records
-    from repro.notary import vector
     from repro.notary.store import NotaryStore
     from repro.simulation.ecosystem import STUDY_END, STUDY_START
-
-    if not vector.available():
-        return {"skipped": "numpy unavailable (install the 'fast' extra)"}
 
     from repro.servers import ServerPopulation
 

@@ -232,9 +232,8 @@ def cmd_timeline(args: argparse.Namespace) -> int:
 #: ``shape_path_hits`` / ``scan_fallbacks``.
 #: 4 — ``counters`` gained the vector-tier fields ``vector_path_hits``
 #: / ``vector_compile_misses``.
-#: 5 — ``counters`` gained the serve fields ``http_requests`` /
-#: ``http_errors`` / ``http_route_latency`` (the per-route latency
-#: ledger of the resident server).
+#: 5 — ``counters`` gained the resident server's request and error
+#: counts and its per-route latency ledger.
 #: 6 — live-telemetry layer: top-level ``histograms`` (named duration
 #: histograms as mergeable snapshots — bounds/counts/count/sum/max/min/
 #: exemplars) and ``window`` (the sliding-window section; null in batch
@@ -242,7 +241,11 @@ def cmd_timeline(args: argparse.Namespace) -> int:
 #: route-ledger entries swapped their unbounded ``samples`` list for a
 #: bounded ``histogram`` snapshot; ``counters`` gained
 #: ``duration_histograms``.
-STATS_SCHEMA = 6
+#: 7 — ``counters`` lost schema 5's three serve fields: a served
+#: request is recorded only in its server's live telemetry, which the
+#: resident server's ``/stats`` renders as ``server.requests`` /
+#: ``server.errors`` / ``server.routes`` (same entry keys as before).
+STATS_SCHEMA = 7
 
 
 def _stats_payload(model, store, wall: float) -> dict:

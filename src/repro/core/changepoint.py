@@ -15,10 +15,7 @@ from __future__ import annotations
 import datetime as _dt
 from dataclasses import dataclass
 
-try:  # numpy is the optional ``fast`` extra, not a hard dependency
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    np = None
+import numpy as np
 
 from repro.simulation.timeline import Event
 
@@ -26,34 +23,15 @@ Series = list[tuple[_dt.date, float]]
 
 
 def _smooth(values: list[float], window: int) -> list[float]:
-    """Centered moving average, zero-padded at the boundaries.
-
-    Matches ``np.convolve(values, ones(window)/window, mode="same")``:
-    output ``i`` averages the window centered (right-biased for even
-    widths) on ``i``, with out-of-range taps contributing zero.
+    """Centered moving average, zero-padded at the boundaries
+    (``np.convolve`` with a flat kernel, ``mode="same"``): output ``i``
+    averages the window centered (right-biased for even widths) on
+    ``i``, with out-of-range taps contributing zero.
     """
     if window <= 1:
         return list(values)
-    if np is not None:
-        kernel = np.ones(window) / window
-        return list(np.convolve(np.array(values, dtype=float), kernel, mode="same"))
-    n = len(values)
-    inv = 1.0 / window
-    out = []
-    for i in range(n):
-        m = i + (window - 1) // 2
-        acc = 0.0
-        for j in range(max(0, m - window + 1), min(m, n - 1) + 1):
-            acc += values[j] * inv
-        out.append(acc)
-    return out
-
-
-def _diff2(values: list[float]) -> list[float]:
-    """Second differences as repeated first differences (= ``np.diff``
-    with ``n=2``: the same subtraction tree, so the same floats)."""
-    first = [b - a for a, b in zip(values, values[1:])]
-    return [b - a for a, b in zip(first, first[1:])]
+    kernel = np.ones(window) / window
+    return list(np.convolve(np.array(values, dtype=float), kernel, mode="same"))
 
 
 @dataclass(frozen=True)
@@ -84,7 +62,7 @@ def detect_changepoint(
         raise ValueError("need at least 5 points to detect a change point")
     dates = [d for d, _ in series]
     values = _smooth([v for _, v in series], smooth_window)
-    curvature = _diff2(values)  # index i -> month i+1
+    curvature = np.diff(values, n=2)  # index i -> month i+1
     # The moving average zero-pads at the boundaries, which manufactures
     # spurious curvature there; restrict the search to the interior.
     margin = max(smooth_window - 1, 0)

@@ -10,8 +10,12 @@ Almost no imports from the rest of :mod:`repro` — the generator and
 monitor increment these counters from the hot loop, and this module
 sitting at the bottom of the import graph keeps that cycle-free.  The
 one exception is :mod:`repro.obs.live` (the histogram primitive behind
-the route ledger and duration counters), which itself imports nothing
-from :mod:`repro` and sits at the same bottom layer.
+the duration counters), which itself imports nothing from :mod:`repro`
+and sits at the same bottom layer.
+
+Served requests are not counted here: a process-global ledger would
+mix every server in the process.  Each server's
+:class:`repro.obs.live.LiveTelemetry` is its one request ledger.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ PARENT_ONLY_FIELDS = frozenset(
         "workers",
         "worker_wall_times",
         "chunk_attribution",
-        "http_route_latency",
     }
 )
 
@@ -109,16 +112,13 @@ class PerfCounters:
     #: Aggregate queries answered by the vectorized (numpy) tier.
     vector_path_hits: int = 0
     #: Vector-tier attempts that didn't compile and dropped to the
-    #: shape tier (numpy-absent months never count; the tier was off).
+    #: shape tier (months the tier cannot serve — unpacked or
+    #: day-carrying — never count).
     vector_compile_misses: int = 0
     #: Explicit worker/chunk-span knob values beyond the CPU-reasonable
     #: bound (honored, but no longer silent — see
     #: :func:`repro.engine.runner._warn_oversubscribed`).
     oversubscription_warnings: int = 0
-    #: HTTP requests answered by the resident server (any status).
-    http_requests: int = 0
-    #: HTTP responses with status >= 400 (client and server errors).
-    http_errors: int = 0
     #: Served queries dispatched to the multi-process query-worker pool
     #: (``repro serve --query-workers``); 0 means the threaded path.
     query_pool_dispatches: int = 0
@@ -126,13 +126,6 @@ class PerfCounters:
     #: evaluation (a replica died or timed out; the answer is still
     #: served, byte-identically, by the parent).
     query_pool_fallbacks: int = 0
-    #: Per-route latency ledger of the resident server: route ->
-    #: ``{count, errors, total_seconds, max_seconds, histogram}`` where
-    #: ``histogram`` is a bounded :class:`repro.obs.live.Histogram`
-    #: (O(buckets) state forever — the fix for the old grow-per-request
-    #: samples list).  Parent-only: a served process never merges
-    #: another fleet's ledger.
-    http_route_latency: dict = field(default_factory=dict)
     #: Named duration histograms: name -> :class:`Histogram`.  The batch
     #: runner observes ``simulate_month_seconds`` / ``chunk_seconds``
     #: here; workers ship snapshots and :meth:`merge_worker` folds them
@@ -205,41 +198,6 @@ class PerfCounters:
                 and name not in HISTOGRAM_FIELDS
             ):
                 setattr(self, name, getattr(self, name) + int(value))
-
-    def observe_http(
-        self,
-        route: str,
-        seconds: float,
-        status: int,
-        exemplar: dict | None = None,
-    ) -> None:
-        """Fold one served request into the counters and route ledger.
-
-        Callers serialize (the server holds its perf lock); this method
-        itself does no locking, matching every other counter here.  An
-        ``exemplar`` (trace/span identity of this request) is pinned to
-        the histogram bucket the duration lands in, most-recent-wins.
-        """
-        self.http_requests += 1
-        error = status >= 400
-        if error:
-            self.http_errors += 1
-        ledger = self.http_route_latency.get(route)
-        if ledger is None:
-            ledger = self.http_route_latency[route] = {
-                "count": 0,
-                "errors": 0,
-                "total_seconds": 0.0,
-                "max_seconds": 0.0,
-                "histogram": Histogram(),
-            }
-        ledger["count"] += 1
-        if error:
-            ledger["errors"] += 1
-        ledger["total_seconds"] += seconds
-        if seconds > ledger["max_seconds"]:
-            ledger["max_seconds"] = seconds
-        ledger["histogram"].observe(seconds, exemplar=exemplar)
 
     def observe_duration(self, name: str, seconds: float) -> None:
         """Fold one duration into the named histogram (creating it on
@@ -331,20 +289,6 @@ class PerfCounters:
         if self.vector_path_hits or self.vector_compile_misses:
             lines.append(f"vector path hits    : {self.vector_path_hits}")
             lines.append(f"vector compile miss : {self.vector_compile_misses}")
-        if self.http_requests:
-            lines.append(f"http requests       : {self.http_requests}")
-            lines.append(f"http errors         : {self.http_errors}")
-            for route in sorted(self.http_route_latency):
-                ledger = self.http_route_latency[route]
-                mean_ms = ledger["total_seconds"] / ledger["count"] * 1e3
-                hist = ledger["histogram"]
-                lines.append(
-                    f"  {route:<18}: {ledger['count']} req, "
-                    f"mean {mean_ms:.2f} ms, "
-                    f"p50 {hist.percentile(50) * 1e3:.2f} ms, "
-                    f"p99 {hist.percentile(99) * 1e3:.2f} ms, "
-                    f"max {ledger['max_seconds'] * 1e3:.2f} ms"
-                )
         if self.duration_histograms:
             lines.append("duration histograms :")
             for name in sorted(self.duration_histograms):

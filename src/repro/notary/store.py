@@ -19,9 +19,9 @@ Aggregation runs four tiers, fastest first:
   over the payload's int-coded shape matrix — one Python call per
   *distinct field value*, not per shape — and fold with sequential
   ``cumsum`` kernels that replay the scan's row-order additions
-  exactly (:mod:`repro.notary.vector`).  Skipped silently when numpy
-  is absent or the callable doesn't compile; ``use_vector = False``
-  disables just this tier (the bench's shape-tier comparator).
+  exactly (:mod:`repro.notary.vector`).  Skipped silently when the
+  callable doesn't compile; ``use_vector = False`` disables just this
+  tier (the bench's shape-tier comparator).
 * **Shape-compiled** — packed months are dictionary-encoded: every row
   is a (weight, shape-index) pair into a table of distinct shapes, so
   an arbitrary predicate or ``weighted_mean`` value function has only
@@ -64,11 +64,12 @@ immediately servable by every fast tier.
 from __future__ import annotations
 
 import datetime as _dt
-import os
 from collections import OrderedDict, defaultdict
 from collections.abc import Callable, Iterable
 from itertools import compress
 from operator import mul
+
+import numpy as np
 
 from repro.engine.perf import PERF
 from repro.notary import vector as _vector
@@ -98,24 +99,16 @@ def month_range(start: _dt.date, end: _dt.date) -> list[_dt.date]:
 def _scan_fold(weights: list) -> float:
     """Row-order weight fold for the scan oracle.
 
-    With numpy present the collected weights fold through ``cumsum`` —
-    one compiled pass instead of a per-row interpreted add.  The two
-    paths are equal bit-for-bit, not merely close: the Python fold
-    starts at ``0.0`` (and ``0.0 + w == w`` exactly) and adds
-    left-to-right, and ``cumsum`` performs the same float64 additions
-    on the same operands in the same order — the differential test
-    asserts ``==``, never approximate equality.
+    The collected weights fold through ``cumsum`` — one compiled pass
+    instead of a per-row interpreted add, and bit-for-bit the left fold
+    ``((0.0 + w0) + w1) + …``: ``0.0 + w == w`` exactly, and ``cumsum``
+    performs the same float64 additions on the same operands in the
+    same order (the differential test asserts ``==`` against a
+    hand-written fold).
     """
     if not weights:
         return 0.0
-    if _vector.available():
-        import numpy as _np
-
-        return float(_np.cumsum(_np.asarray(weights, dtype=_np.float64))[-1])
-    total = 0.0
-    for weight in weights:
-        total += weight
-    return total
+    return float(np.cumsum(np.asarray(weights, dtype=np.float64))[-1])
 
 
 def _record_keys(record: ConnectionRecord) -> list[tuple[str, object]]:
@@ -166,16 +159,18 @@ class _MonthIndex:
         """Build from a packed month without materializing records.
 
         Per-shape key lists are derived once from the dataset's template
-        records and cached on the dataset; accumulation then walks the
-        weight column in row order, so the result is float-identical to
-        :meth:`from_records` over the materialized month.
+        records and cached on the dataset; the per-key counters are then
+        built by vectorized folds over the weight column.
 
-        With numpy present the per-key counters are built by vectorized
-        folds instead of a per-row Python loop (see
-        :meth:`_from_columns_vector`); the two paths are equal — not
-        merely close — because every vectorized fold replays the same
-        row-order addition sequence, and the differential test asserts
-        it.
+        Float-identity argument: :meth:`from_records` keeps one
+        accumulator per (dimension, value) key, added to once per
+        matching row in row order starting from ``0.0`` (and
+        ``0.0 + w == w`` exactly).  A ``cumsum`` over the weights
+        *compressed by that key's row mask* performs the same additions
+        on the same operands in the same order — so each counter, the
+        month total, and the established fold come out bit-for-bit
+        equal to :meth:`from_records` (the differential test asserts
+        ``==``).
         """
         shape_keys = getattr(dataset, "_index_shape_keys", None)
         if shape_keys is None:
@@ -184,60 +179,20 @@ class _MonthIndex:
                 for template in dataset.template_records()
             ]
             dataset._index_shape_keys = shape_keys
+        index = cls()
         columns = dataset.columns(month)
-        if columns is not None and _vector.available():
-            index = cls._from_columns_vector(shape_keys, columns)
-            if index is not None:
-                return index
-        index = cls()
-        weights: dict = defaultdict(float)
-        established_weights: dict = defaultdict(float)
-        if columns is not None:
-            weight_column, idx_column = columns
-            for i, idx in enumerate(idx_column):
-                weight = weight_column[i]
-                index.total += weight
-                keys, established = shape_keys[idx]
-                for key in keys:
-                    weights[key] += weight
-                if established:
-                    index.established += weight
-                    for key in keys:
-                        established_weights[key] += weight
-        index.weights = dict(weights)
-        index.established_weights = dict(established_weights)
-        return index
-
-    @classmethod
-    def _from_columns_vector(cls, shape_keys, columns) -> "_MonthIndex | None":
-        """Numpy counter construction; None when numpy import fails.
-
-        Float-identity argument: the row loop keeps one accumulator per
-        (dimension, value) key, added to once per matching row in row
-        order starting from ``0.0`` (and ``0.0 + w == w`` exactly).  A
-        ``cumsum`` over the weights *compressed by that key's row mask*
-        performs the same additions on the same operands in the same
-        order — so each counter, the month total, and the established
-        fold come out bit-for-bit equal to :meth:`from_records`.
-        """
-        import numpy as _np
-
-        index = cls()
-        weight_column, idx_column = columns
-        rows = len(weight_column)
-        if rows == 0:
+        if columns is None or len(columns[0]) == 0:
             return index
-        w = _np.frombuffer(weight_column, dtype=_np.float64)
-        idx = _np.frombuffer(
-            idx_column, dtype=_np.dtype(f"u{idx_column.itemsize}")
-        )
+        weight_column, idx_column = columns
+        w = np.frombuffer(weight_column, dtype=np.float64)
+        idx = np.frombuffer(idx_column, dtype=np.dtype(f"u{idx_column.itemsize}"))
 
         def fold(values) -> float:
-            return float(_np.cumsum(values)[-1]) if len(values) else 0.0
+            return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
         index.total = fold(w)
         n_shapes = len(shape_keys)
-        est_shape = _np.zeros(n_shapes, dtype=bool)
+        est_shape = np.zeros(n_shapes, dtype=bool)
         key_shapes: dict = {}
         for shape_idx, (keys, established) in enumerate(shape_keys):
             if established:
@@ -245,22 +200,18 @@ class _MonthIndex:
             for key in keys:
                 mask = key_shapes.get(key)
                 if mask is None:
-                    mask = key_shapes[key] = _np.zeros(n_shapes, dtype=bool)
+                    mask = key_shapes[key] = np.zeros(n_shapes, dtype=bool)
                 mask[shape_idx] = True
         est_rows = est_shape[idx]
         index.established = fold(w[est_rows])
-        weights: dict = {}
-        established_weights: dict = {}
         for key, shape_mask in key_shapes.items():
             key_rows = shape_mask[idx]
             if not key_rows.any():
                 continue
-            weights[key] = fold(w[key_rows])
+            index.weights[key] = fold(w[key_rows])
             both = key_rows & est_rows
             if both.any():
-                established_weights[key] = fold(w[both])
-        index.weights = weights
-        index.established_weights = established_weights
+                index.established_weights[key] = fold(w[both])
         return index
 
     # ---- cache (de)serialization -------------------------------------------
@@ -611,17 +562,8 @@ class NotaryStore:
         return sorted(self._by_month)
 
     def _materialize_limit(self) -> int:
-        """The transient-LRU bound: ``REPRO_MATERIALIZE_LRU`` when set
-        (and a valid integer), else :attr:`materialize_cache_months`."""
-        raw = os.environ.get("REPRO_MATERIALIZE_LRU", "").strip()
-        if raw:
-            try:
-                return max(1, int(raw))
-            except ValueError:
-                _log.warning(
-                    "ignoring non-integer REPRO_MATERIALIZE_LRU=%r", raw
-                )
-        return max(1, int(self.materialize_cache_months))
+        """The transient-LRU bound (:attr:`materialize_cache_months`)."""
+        return max(1, self.materialize_cache_months)
 
     def _month_records(self, month: _dt.date) -> list[ConnectionRecord]:
         """The month's record list; packed months materialize transiently."""
@@ -639,8 +581,8 @@ class NotaryStore:
                 self._mat_evicted.discard(month)
                 _log.info(
                     "materialize LRU churn: month %s re-materialized after "
-                    "eviction (bound %d; raise REPRO_MATERIALIZE_LRU to fit "
-                    "the working set)",
+                    "eviction (bound %d; raise materialize_cache_months to "
+                    "fit the working set)",
                     month.isoformat(),
                     self._materialize_limit(),
                 )
@@ -814,9 +756,9 @@ class NotaryStore:
 
     def _vector_view(self, month: _dt.date):
         """The month's vector view, or None when the tier can't serve it
-        (numpy absent, month not packed / day-carrying, or either escape
-        hatch flipped).  ``None`` always means "try the shape tier"."""
-        if not (self.use_index and self.use_vector and _vector.available()):
+        (month not packed / day-carrying, or either escape hatch
+        flipped).  ``None`` always means "try the shape tier"."""
+        if not (self.use_index and self.use_vector):
             return None
         view = self._vector_views.get(month)
         if view is not None:
@@ -824,9 +766,7 @@ class NotaryStore:
         dataset = self._packed.get(month)
         if dataset is None or dataset.has_days(month):
             return None
-        view = _vector.view_for(dataset, month)
-        if view is not None:
-            self._vector_views[month] = view
+        view = self._vector_views[month] = _vector.view_for(dataset, month)
         return view
 
     def _vector_note(self, month: _dt.date, reason: str) -> None:

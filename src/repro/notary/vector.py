@@ -24,19 +24,16 @@ independent row-order folds (Σw·v with elementwise products, and Σw),
 matching the scan's interleaved accumulator pair because each
 accumulator sees an identical operand sequence either way.
 
-numpy is optional (the ``fast`` extra).  When it is absent — or a
-predicate doesn't compile — everything here returns ``None`` and the
-store falls through to the shape tier, which answers the same bytes.
+numpy is a hard dependency.  When a predicate doesn't compile the
+compilers here return ``None`` and the store falls through to the shape
+tier, which answers the same bytes.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 
-try:  # pragma: no branch
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    _np = None
+import numpy as _np
 
 from repro.notary.events import ConnectionRecord
 from repro.obs import emit_event
@@ -52,11 +49,6 @@ _EXPAND = {
 #: Compilation memo cap per matrix (same discipline as the dataset's
 #: shape-compilation memos).
 _CACHE_LIMIT = 256
-
-
-def available() -> bool:
-    """Whether the vector tier can serve queries (numpy importable)."""
-    return _np is not None
 
 
 def _stub(field: str, value):
@@ -261,29 +253,23 @@ class VectorView:
         return acc / total
 
 
-def matrix_for(dataset) -> ShapeMatrix | None:
-    """The dataset's (shared, memoized) numpy shape matrix, or None."""
-    if _np is None:
-        return None
+def matrix_for(dataset) -> ShapeMatrix:
+    """The dataset's (shared, memoized) numpy shape matrix."""
     matrix = getattr(dataset, "_vector_matrix", None)
     if matrix is None:
         matrix = dataset._vector_matrix = ShapeMatrix(dataset.shape_matrix())
     return matrix
 
 
-def view_for(dataset, month: _dt.date) -> VectorView | None:
-    """The month's (shared, memoized) vector view, or None.
+def view_for(dataset, month: _dt.date) -> VectorView:
+    """The month's (shared, memoized) vector view.
 
     Shared per dataset exactly like ``_ShapeView`` — every store
     attaching the same packed dataset reuses the numpy columns and the
     compilation memos.  Callers have already excluded day-carrying
     months (same restriction as the shape tier).
     """
-    if _np is None:
-        return None
     matrix = matrix_for(dataset)
-    if matrix is None:
-        return None
     shared = getattr(dataset, "_vector_view_cache", None)
     if shared is None:
         shared = dataset._vector_view_cache = {}

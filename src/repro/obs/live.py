@@ -19,9 +19,10 @@ on while the process is up, at a cost small enough to leave on always:
   of N slots × W seconds, each slot a histogram plus request/error
   counts.  Reading the window merges only the unexpired slots, so rates
   and percentiles reflect the last ~N·W seconds, not process lifetime.
-* :class:`LiveTelemetry` — the serve-facing bundle: a per-route and a
-  global window, tier totals, and the ``window`` payload rendered into
-  ``/stats`` and ``stats --json`` (schema 6).
+* :class:`LiveTelemetry` — the serve-facing request ledger, the only
+  one: per route an error count, a lifetime histogram and a window,
+  plus tier totals.  It renders the ``server.routes`` and ``window``
+  sections of ``/stats`` and every request family of ``/metrics``.
 * :func:`render_prometheus` / :func:`parse_prometheus` — hand-rolled
   Prometheus text exposition (version 0.0.4) and the matching parser
   used by ``repro top`` and the CI validator
@@ -29,8 +30,8 @@ on while the process is up, at a cost small enough to leave on always:
 
 Like the rest of :mod:`repro.obs`, this module imports **nothing** from
 the rest of :mod:`repro` — :mod:`repro.engine.perf` itself imports the
-histogram primitive for its route ledger and duration counters, so this
-file has to sit at the very bottom of the import graph beside it.
+histogram primitive for its duration counters, so this file has to sit
+at the very bottom of the import graph beside it.
 Thread-safety: every mutating or reading method on a histogram/window
 takes that object's lock; callers never need their own.
 """
@@ -292,29 +293,50 @@ class WindowedHistogram:
         for _slot_epoch, hist, errs in live:
             merged.merge(hist)
             errors += errs
-        seconds = self.window_seconds
-        count = merged.count
-        return {
-            "seconds": seconds,
-            "count": count,
-            "errors": errors,
-            "rps": count / seconds if seconds > 0 else 0.0,
-            "error_rate": errors / count if count else 0.0,
-            "histogram": merged.snapshot(),
-            "p50": merged.percentile(50),
-            "p95": merged.percentile(95),
-            "p99": merged.percentile(99),
-        }
+        return _window_summary(merged, errors, self.window_seconds)
+
+
+def _window_summary(merged: Histogram, errors: int, seconds: float) -> dict:
+    """The :meth:`WindowedHistogram.window` dict for a merged window."""
+    count = merged.count
+    return {
+        "seconds": seconds,
+        "count": count,
+        "errors": errors,
+        "rps": count / seconds if seconds > 0 else 0.0,
+        "error_rate": errors / count if count else 0.0,
+        "histogram": merged.snapshot(),
+        "p50": merged.percentile(50),
+        "p95": merged.percentile(95),
+        "p99": merged.percentile(99),
+    }
+
+
+class _RouteLedger:
+    """One route's books: its error count, a lifetime histogram (whose
+    ``count``/``sum``/``max`` are the route's request count, total and
+    max latency), and its sliding window."""
+
+    __slots__ = ("errors", "lifetime", "window")
+
+    def __init__(self, slots: int, slot_seconds: float) -> None:
+        self.errors = 0
+        self.lifetime = Histogram()
+        self.window = WindowedHistogram(slots, slot_seconds)
 
 
 class LiveTelemetry:
-    """The resident server's continuous-telemetry bundle.
+    """The resident server's request ledger — the only place a served
+    request's latency is recorded.
 
-    One global window plus one per route (created on first sight; route
-    cardinality is bounded by the server's route patterns), and a
+    One :class:`_RouteLedger` per route (created on first sight; route
+    cardinality is bounded by the server's route patterns) plus a
     cumulative tier tally.  ``observe`` is the single entry point the
-    serve path calls per request; ``window_payload`` is the ``window``
-    section of ``/stats`` and ``stats --json`` schema 6.
+    serve path calls per request.  Nothing is observed globally: the
+    all-routes figures are folds over the route ledgers at read time,
+    which is exact because every histogram shares the same fixed
+    bounds.  ``route_ledger`` is the ``server.routes`` section of
+    ``/stats``; ``window_payload`` is its ``window`` section.
     """
 
     def __init__(
@@ -324,8 +346,7 @@ class LiveTelemetry:
     ) -> None:
         self.slots = slots
         self.slot_seconds = slot_seconds
-        self.total = WindowedHistogram(slots, slot_seconds)
-        self.routes: dict[str, WindowedHistogram] = {}
+        self.routes: dict[str, _RouteLedger] = {}
         self.tier_totals: dict[str, int] = {}
         self._lock = threading.Lock()
 
@@ -341,27 +362,52 @@ class LiveTelemetry:
         now = time.monotonic() if now is None else now
         error = status >= 400
         with self._lock:
-            window = self.routes.get(route)
-            if window is None:
-                window = self.routes[route] = WindowedHistogram(
+            ledger = self.routes.get(route)
+            if ledger is None:
+                ledger = self.routes[route] = _RouteLedger(
                     self.slots, self.slot_seconds
                 )
+            if error:
+                ledger.errors += 1
             if tier is not None:
                 self.tier_totals[tier] = self.tier_totals.get(tier, 0) + 1
-        window.observe(seconds, error=error, exemplar=exemplar, now=now)
-        self.total.observe(seconds, error=error, exemplar=exemplar, now=now)
+        ledger.lifetime.observe(seconds, exemplar=exemplar)
+        ledger.window.observe(seconds, error=error, exemplar=exemplar, now=now)
+
+    def _ledgers(self) -> list[tuple[str, _RouteLedger]]:
+        with self._lock:
+            return sorted(self.routes.items())
+
+    def route_ledger(self) -> dict:
+        """Lifetime totals per route: ``{route: {count, errors,
+        total_seconds, max_seconds, histogram}}`` (seconds; the
+        histogram as a mergeable snapshot)."""
+        out = {}
+        for route, ledger in self._ledgers():
+            snap = ledger.lifetime.snapshot()
+            out[route] = {
+                "count": snap["count"],
+                "errors": ledger.errors,
+                "total_seconds": snap["sum"],
+                "max_seconds": snap["max"],
+                "histogram": snap,
+            }
+        return out
 
     def window_payload(self, now: float | None = None) -> dict:
         """The JSON ``window`` section: global rates/percentiles plus a
-        per-route breakdown (milliseconds, the operator-facing unit)."""
+        per-route breakdown (milliseconds, the operator-facing unit).
+        The global figures merge the route windows."""
         now = time.monotonic() if now is None else now
-        total = self.total.window(now)
         with self._lock:
-            routes = dict(self.routes)
             tiers = dict(self.tier_totals)
+        merged = Histogram()
+        errors = 0
         payload_routes = {}
-        for route, window in sorted(routes.items()):
-            w = window.window(now)
+        for route, ledger in self._ledgers():
+            w = ledger.window.window(now)
+            merged.merge_snapshot(w["histogram"])
+            errors += w["errors"]
             payload_routes[route] = {
                 "count": w["count"],
                 "errors": w["errors"],
@@ -370,6 +416,9 @@ class LiveTelemetry:
                 "p95_ms": w["p95"] * 1e3,
                 "p99_ms": w["p99"] * 1e3,
             }
+        total = _window_summary(
+            merged, errors, self.slots * float(self.slot_seconds)
+        )
         return {
             "seconds": total["seconds"],
             "slots": self.slots,

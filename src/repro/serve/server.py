@@ -15,6 +15,9 @@ all JSON with an ``{"api": 1, ...}`` envelope:
 * ``GET /stats`` — server gauges (in-flight, max-in-flight, uptime),
   the per-route latency ledger, the sliding-window telemetry section,
   and the full engine perf-counter snapshot (``stats --json`` schema).
+  Request counts, errors and latencies come from this server's own
+  :class:`~repro.obs.live.LiveTelemetry`, so two servers in one
+  process never see each other's traffic.
 * ``GET /metrics`` — Prometheus text exposition (format 0.0.4,
   hand-rolled in :mod:`repro.obs.live`): cumulative counters, gauges,
   per-route latency histograms with bucket exemplars, and
@@ -42,20 +45,20 @@ PERF increments can land inside a concurrent cold query's sampling
 window, so that cold query may report ``mixed``; misattribution only
 ever makes a query *keep* the lock, never drop it unsafely.)
 
-Request → span → sink flow: every request is timed and recorded four
+Request → span → sink flow: every request is timed and recorded three
 ways — an ``http_request`` completed span on the process trace
 collector (thread-safe append, no nesting stack involved), an
 ``http_request`` JSONL metrics event (method, route, status, duration,
-tier used, span id) when ``REPRO_METRICS_PATH`` is live, the PERF
-counters ``http_requests`` / ``http_errors`` plus the histogram-backed
-per-route latency ledger surfaced by ``stats --json`` (schema 6), and
-the sliding-window :class:`~repro.obs.live.LiveTelemetry` behind
-``/metrics``.  The span's ``(trace_id, id)`` travels into the latency
-histograms as the bucket *exemplar*, so a tail bucket on a dashboard
-names the exact span to pull from the sink.  The *tier* is observed,
-not guessed: the query runs under the query lock while the tier
-counters are sampled before and after, so the event reports which of
-index/vector/shape/scan actually answered.
+tier used, span id) when ``REPRO_METRICS_PATH`` is live, and the
+server's :class:`~repro.obs.live.LiveTelemetry` — per route an error
+count, a lifetime histogram and a sliding window — which is the one
+ledger both ``/stats`` and ``/metrics`` render.  The span's
+``(trace_id, id)`` travels into the latency histograms as the bucket
+*exemplar*, so a tail bucket on a dashboard names the exact span to
+pull from the sink.  The *tier* is observed, not guessed: the query
+runs under the query lock while the tier counters are sampled before
+and after, so the event reports which of index/vector/shape/scan
+actually answered.
 
 Port discipline: the default bind is port 0 — the kernel picks a free
 port, ``bound_port`` reports it, and the CLI announces it on stdout
@@ -227,9 +230,9 @@ class ReproServer(ThreadingHTTPServer):
         self._warm_tiers: dict = {}
         #: Serializes PERF counter updates from handler threads.
         self._perf_lock = threading.Lock()
-        #: Sliding-window live telemetry (per-route + global windows,
-        #: tier totals) behind ``/metrics`` and the ``window`` section
-        #: of ``/stats``.  Internally locked; no server lock needed.
+        #: This server's request ledger (per-route errors, lifetime
+        #: histogram and sliding window; tier totals) behind ``/stats``
+        #: and ``/metrics``.  Internally locked; no server lock needed.
         self.telemetry = live.LiveTelemetry()
 
     # ---- lifecycle ----------------------------------------------------------
@@ -413,8 +416,6 @@ class ReproServer(ThreadingHTTPServer):
             "value": duration,
             "ts": started_ts,
         }
-        with self._perf_lock:
-            PERF.observe_http(route, duration, status, exemplar=exemplar)
         self.telemetry.observe(
             route, duration, status, tier=tier, exemplar=exemplar
         )
@@ -457,19 +458,20 @@ class ReproServer(ThreadingHTTPServer):
             in_flight, max_in_flight = self.in_flight, self.max_in_flight
             queries_in_flight = self.queries_in_flight
             max_queries_in_flight = self.max_queries_in_flight
+        routes = self.telemetry.route_ledger()
         return {
             "schema": STATS_SCHEMA,
             "server": {
                 "started": self.started_ts,
                 "uptime_seconds": time.time() - self.started_ts,
                 "ready": store is not None,
-                "requests": counters["http_requests"],
-                "errors": counters["http_errors"],
+                "requests": sum(e["count"] for e in routes.values()),
+                "errors": sum(e["errors"] for e in routes.values()),
                 "in_flight": in_flight,
                 "max_in_flight": max_in_flight,
                 "queries_in_flight": queries_in_flight,
                 "max_queries_in_flight": max_queries_in_flight,
-                "routes": counters["http_route_latency"],
+                "routes": routes,
             },
             "dataset": (
                 {"months": len(store.months()), "records": len(store)}
@@ -483,7 +485,8 @@ class ReproServer(ThreadingHTTPServer):
     def metrics_payload(self) -> str:
         """The ``GET /metrics`` Prometheus text exposition.
 
-        Cumulative counters and per-route histograms come from the PERF
+        Request counters and per-route histograms come from the
+        telemetry's lifetime route ledger, engine counters from the PERF
         snapshot; rates and quantiles come from the sliding window (the
         ``_total`` route label is the all-routes aggregate).  Each
         scrape also persists one ``histogram_snapshot`` event per route
@@ -496,6 +499,7 @@ class ReproServer(ThreadingHTTPServer):
             in_flight, max_in_flight = self.in_flight, self.max_in_flight
             queries_in_flight = self.queries_in_flight
             max_queries_in_flight = self.max_queries_in_flight
+        ledger = self.telemetry.route_ledger()
         window = self.telemetry.window_payload()
         families: list[live.MetricFamily] = []
 
@@ -506,11 +510,13 @@ class ReproServer(ThreadingHTTPServer):
 
         scalar(
             "repro_http_requests_total", "counter",
-            "HTTP requests served (any status).", counters["http_requests"],
+            "HTTP requests served (any status).",
+            sum(e["count"] for e in ledger.values()),
         )
         scalar(
             "repro_http_errors_total", "counter",
-            "HTTP responses with status >= 400.", counters["http_errors"],
+            "HTTP responses with status >= 400.",
+            sum(e["errors"] for e in ledger.values()),
         )
         scalar(
             "repro_faults_injected_total", "counter",
@@ -570,7 +576,6 @@ class ReproServer(ThreadingHTTPServer):
             "repro_http_request_duration_seconds", "histogram",
             "Request latency per route (process-lifetime cumulative).",
         )
-        ledger = counters["http_route_latency"]
         for route in sorted(ledger):
             entry = ledger[route]
             route_requests.add(entry["count"], {"route": route})

@@ -51,6 +51,18 @@ class TestDetector:
         cp = detect_changepoint(series, smooth_window=3, rising=True)
         assert dt.date(2014, 6, 1) <= cp.month <= dt.date(2014, 11, 1)
 
+    def test_smoothed_s_curve_pinned(self):
+        # An S-shaped adoption curve through the default 3-wide
+        # smoothing: month, direction and curvature are pinned.
+        series = months(
+            "2014-01-01",
+            [1.0, 1.0, 1.1, 1.2, 1.5, 2.5, 4.0, 5.0, 5.5, 5.7, 5.8, 5.85],
+        )
+        cp = detect_changepoint(series)
+        assert cp.month == dt.date(2014, 5, 1)
+        assert cp.direction == "acceleration"
+        assert cp.curvature == pytest.approx(0.4666666666666668, abs=1e-12)
+
 
 class TestCorrelation:
     def test_nearest_event_named(self):

@@ -321,6 +321,13 @@ class TestLiveTelemetry:
         assert payload["error_rate"] == pytest.approx(1 / 3)
         assert payload["tier_totals"] == {"index": 2, "vector": 1}
         assert payload["p99_ms"] >= payload["p50_ms"] > 0
+        ledger = telemetry.route_ledger()
+        assert set(ledger) == {"/a", "/b"}
+        assert ledger["/a"]["count"] == 2
+        assert ledger["/a"]["errors"] == 1
+        assert ledger["/a"]["total_seconds"] == 0.01 + 0.02
+        assert ledger["/a"]["max_seconds"] == 0.02
+        assert ledger["/b"]["histogram"]["count"] == 1
 
     def test_window_payload_expires_but_tier_totals_do_not(self):
         telemetry = LiveTelemetry(slots=4, slot_seconds=1.0)
@@ -329,6 +336,7 @@ class TestLiveTelemetry:
         assert payload["count"] == 0
         assert payload["routes"]["/a"]["count"] == 0
         assert payload["tier_totals"] == {"shape": 1}  # cumulative
+        assert telemetry.route_ledger()["/a"]["count"] == 1  # lifetime
 
 
 # ---- bounded state: the route-ledger leak regression -------------------------
@@ -355,20 +363,23 @@ class TestBoundedLedger:
         """The satellite regression: the old ledger appended every
         request's duration to a per-route ``samples`` list; 10k served
         requests must now leave no reachable list longer than the
-        bucket array."""
-        counters = PerfCounters()
+        bucket array in the ``/stats`` route ledger."""
+        telemetry = LiveTelemetry()
         for i in range(10_000):
-            counters.observe_http(
+            telemetry.observe(
                 "/figures/<name>",
                 (i % 463) * 1e-5,
                 200 if i % 7 else 500,
                 exemplar={"trace_id": "t", "value": (i % 463) * 1e-5, "ts": i},
+                now=i * 0.01,
             )
-        ledger = counters.http_route_latency["/figures/<name>"]
+        ledgers = telemetry.route_ledger()
+        ledger = ledgers["/figures/<name>"]
         assert ledger["count"] == 10_000
+        assert ledger["errors"] == len(range(0, 10_000, 7))
         assert "samples" not in ledger
         bucket_cap = len(DEFAULT_BOUNDS) + 1
-        for length in _reachable_list_lengths(counters.snapshot()):
+        for length in _reachable_list_lengths(ledgers):
             assert length <= bucket_cap, (
                 "route-ledger state grew beyond O(buckets) — "
                 "the unbounded-samples leak is back"
@@ -385,7 +396,7 @@ class TestBoundedLedger:
         for length in _reachable_list_lengths(payload):
             assert length <= bucket_cap
         assert len(telemetry.routes) == 1
-        assert len(telemetry.total._ring) == 12
+        assert len(telemetry.routes["/query"].window._ring) == 12
 
     def test_perf_histograms_merge_from_worker_snapshots(self):
         workers = []

@@ -18,10 +18,10 @@ Coverage map (PR 5's satellite #3 plus PR 6's three-way differential):
 * fresh-packed vs cache-warm vs post-resume (``split_by_month``) vs
   incremental-ingest (month added after attach, no re-pack) stores;
 * guarded fallback for predicates reading ``month`` / ``weight`` / day;
-* numpy-absent fallback (monkeypatched ``vector._np``) and the
-  ``use_vector`` / ``use_index`` escape hatches;
+* the scan oracle's numpy fold against a hand-written left fold, and
+  the ``use_vector`` / ``use_index`` escape hatches;
 * transient materialization (packed months survive ``records()``) and
-  the ``REPRO_MATERIALIZE_LRU`` bound override;
+  the ``materialize_cache_months`` bound;
 * batched figure evaluation and the packed figure fast paths;
 * metrics events (``shape_view_build`` / ``scan_fallback`` /
   ``vector_path``) passing the CI validator in
@@ -30,9 +30,11 @@ Coverage map (PR 5's satellite #3 plus PR 6's three-way differential):
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import json
 import logging
+import operator
 import random
 from pathlib import Path
 
@@ -54,7 +56,6 @@ from repro.notary import (
     Not,
     NotaryStore,
     PositionOf,
-    vector,
 )
 
 # ---------------------------------------------------------------------------
@@ -415,7 +416,6 @@ class TestMetricsEvents:
         for event in events:
             assert checker.check_record(event, last_ts) is None, event
 
-    @pytest.mark.skipif(not vector.available(), reason="numpy unavailable")
     def test_vector_events_pass_ci_validator(
         self, payload, tmp_path, monkeypatch
     ):
@@ -443,7 +443,6 @@ class TestMetricsEvents:
             assert checker.check_record(event, last_ts) is None, event
 
 
-@pytest.mark.skipif(not vector.available(), reason="numpy unavailable")
 class TestVectorTier:
     """Three-way differential: vector ≡ shape ≡ scan, byte-identical."""
 
@@ -573,77 +572,46 @@ class TestVectorTier:
 
 
 class TestNumpyAbsentFallback:
-    def test_queries_fall_back_to_shape_tier(self, dataset, scan_store, monkeypatch):
-        monkeypatch.setattr(vector, "_np", None)
-        assert not vector.available()
-        store = NotaryStore()
-        store.attach_packed(dataset)
-        PERF.reset()
-        for month in scan_store.months():
-            assert store.fraction(month, MODERN, ESTABLISHED) == scan_store.fraction(
-                month, MODERN, ESTABLISHED
-            )
-            assert store.weighted_mean(
-                month, PositionOf("aead")
-            ) == scan_store.weighted_mean(month, PositionOf("aead"))
-        assert PERF.vector_path_hits == 0
-        assert PERF.vector_compile_misses == 0  # tier off, not missing
-        assert PERF.shape_path_hits > 0
+    """What remains of the numpy-absent fallback now that numpy is
+    required: its pure-Python left fold, kept as the reference the scan
+    oracle's numpy fold must equal."""
 
-    @pytest.mark.skipif(not vector.available(), reason="numpy unavailable")
-    def test_scan_fold_pure_python_matches_numpy(self, scan_store, monkeypatch):
-        """The scan oracle's vectorized weight fold is bit-equal to the
-        pure-Python fold it replaced (PR 10 satellite: the last per-row
-        scan hot loop) — on the fold helper directly and through every
-        scan-path query method."""
+    def test_scan_fold_pure_python_matches_numpy(
+        self, scan_store, small_window_store
+    ):
+        """The scan oracle's numpy weight fold is bit-equal to the left
+        fold ``((0.0 + w0) + w1) + …`` — on the fold helper directly and
+        through every scan-path query method, against folds written here
+        over the record-level store's records."""
         from repro.notary import store as store_mod
+
+        def left_fold(values):
+            return functools.reduce(operator.add, values, 0.0)
 
         rng = random.Random(1918)
         weights = [rng.random() * rng.choice([1e-9, 1.0, 1e9]) for _ in range(5000)]
-        with_numpy = store_mod._scan_fold(weights)
-        months = scan_store.months()
-        vec = {
-            m: (
-                scan_store.total_weight(m),
-                scan_store.fraction(m, MODERN, ESTABLISHED),
-                scan_store.weight_where(m, Advertises("rc4")),
-                scan_store.weighted_mean(m, PositionOf("aead")),
+        assert store_mod._scan_fold(weights) == left_fold(weights)
+        assert store_mod._scan_fold([]) == left_fold([]) == 0.0
+        for m in scan_store.months():
+            records = small_window_store.records(m)
+            established = [r for r in records if r.established]
+            pairs = [
+                (r.weight, v)
+                for r in records
+                if (v := PositionOf("aead")(r)) is not None
+            ]
+            assert scan_store.total_weight(m) == left_fold(
+                [r.weight for r in records]
             )
-            for m in months
-        }
-        monkeypatch.setattr(vector, "_np", None)
-        assert not vector.available()
-        assert store_mod._scan_fold(weights) == with_numpy
-        for m in months:
-            assert vec[m] == (
-                scan_store.total_weight(m),
-                scan_store.fraction(m, MODERN, ESTABLISHED),
-                scan_store.weight_where(m, Advertises("rc4")),
-                scan_store.weighted_mean(m, PositionOf("aead")),
+            assert scan_store.fraction(m, MODERN, ESTABLISHED) == left_fold(
+                [r.weight for r in established if MODERN(r)]
+            ) / left_fold([r.weight for r in established])
+            assert scan_store.weight_where(m, Advertises("rc4")) == left_fold(
+                [r.weight for r in records if "rc4" in r.advertised]
             )
-
-    def test_changepoint_pure_python_matches_numpy(self):
-        import datetime as dt
-
-        from repro.core import changepoint
-
-        series = [
-            (dt.date(2014, month, 1), value)
-            for month, value in zip(
-                range(1, 13),
-                [1.0, 1.0, 1.1, 1.2, 1.5, 2.5, 4.0, 5.0, 5.5, 5.7, 5.8, 5.85],
-            )
-        ]
-        with_numpy = changepoint.detect_changepoint(series)
-        saved = changepoint.np
-        changepoint.np = None
-        try:
-            pure = changepoint.detect_changepoint(series)
-        finally:
-            changepoint.np = saved
-        assert pure.month == with_numpy.month
-        assert pure.direction == with_numpy.direction
-        assert pure.curvature == pytest.approx(with_numpy.curvature, abs=1e-12)
+            assert scan_store.weighted_mean(m, PositionOf("aead")) == left_fold(
+                [w * v for w, v in pairs]
+            ) / left_fold([w for w, _ in pairs])
 
 
 class TestIncrementalIngest:
@@ -728,20 +696,14 @@ class TestIncrementalIngest:
 
 
 class TestMaterializeLruBound:
-    def test_env_override_tightens_bound(self, packed_store, monkeypatch):
-        monkeypatch.setenv("REPRO_MATERIALIZE_LRU", "1")
+    def test_attribute_tightens_bound(self, packed_store):
+        packed_store.materialize_cache_months = 1
         for month in packed_store.months()[:3]:
             packed_store.records(month)
         assert len(packed_store._mat_cache) == 1
 
-    def test_invalid_env_falls_back_to_default(self, packed_store, monkeypatch):
-        monkeypatch.setenv("REPRO_MATERIALIZE_LRU", "not-a-number")
-        for month in packed_store.months()[:3]:
-            packed_store.records(month)
-        assert len(packed_store._mat_cache) <= packed_store.materialize_cache_months
-
-    def test_churn_logs_a_diagnostic(self, packed_store, monkeypatch, caplog):
-        monkeypatch.setenv("REPRO_MATERIALIZE_LRU", "1")
+    def test_churn_logs_a_diagnostic(self, packed_store, caplog):
+        packed_store.materialize_cache_months = 1
         months = packed_store.months()[:2]
         with caplog.at_level(logging.INFO, logger="repro.notary.store"):
             packed_store.records(months[0])

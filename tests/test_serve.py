@@ -22,6 +22,7 @@ import json
 import random
 import socket
 import threading
+import time
 
 import pytest
 
@@ -559,6 +560,11 @@ def test_http_requests_flow_into_metrics_sink(server, tmp_path, monkeypatch):
 def test_stats_endpoint_shape(server):
     from repro.cli import STATS_SCHEMA
 
+    # Put one /stats request in the books before the read, so the test
+    # does not depend on earlier tests' traffic.
+    booked = server.server.stats_payload()["server"]["requests"]
+    _get(server, "/stats")
+    _await_booked(server, booked + 1)
     status, stats = _get(server, "/stats")
     assert status == 200
     assert stats["schema"] == STATS_SCHEMA
@@ -572,7 +578,77 @@ def test_stats_endpoint_shape(server):
     entry = ledger["/stats"]
     assert entry["count"] >= 1
     assert entry["total_seconds"] >= 0
-    assert stats["counters"]["http_requests"] >= stats["server"]["requests"]
+    assert stats["server"]["requests"] == sum(
+        e["count"] for e in ledger.values()
+    )
+    assert "http_requests" not in stats["counters"]
+
+
+def _await_booked(handle, requests: int) -> None:
+    """Wait until the server has booked ``requests`` requests.  A
+    request is booked just after its response is written, so a client
+    can hold the answer a moment before the ledger shows it."""
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        if handle.server.stats_payload()["server"]["requests"] >= requests:
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"server never booked {requests} requests")
+
+
+def test_request_ledger_is_per_server_and_reconciles(served_store):
+    """Two servers in one process keep separate books: B, which took no
+    traffic, reports none of A's.  On A, after a mix of 200/400/404
+    answers, every request and error count agrees — ``/stats``
+    ``server.requests``, the sum over ``server.routes``, ``window``, and
+    ``/metrics`` (which also books the ``/stats`` read before it)."""
+    from repro.obs import live
+
+    a = start_server(store=served_store)
+    b = start_server(store=served_store)
+    try:
+        statuses = [_get(a, path)[0] for path in (
+            "/figures/fig1", "/figures/fig2", "/figures",
+            "/similar-but-wrong", "/figures/fig99",
+        )]
+        statuses += [_post(a, "/query", body)[0] for body in (
+            {"kind": "fraction", "predicate": {"op": "established"},
+             "month": served_store.months()[0].isoformat()},
+            {"kind": "nope"},
+            {"kind": "fraction", "predicate": {"op": "warp", "value": "x"}},
+        )]
+        assert sorted(set(statuses)) == [200, 400, 404]
+        sent = len(statuses)
+        failed = sum(1 for status in statuses if status >= 400)
+        _await_booked(a, sent)
+
+        _, other = _get(b, "/stats")
+        assert other["server"]["requests"] == 0
+        assert other["server"]["errors"] == 0
+        assert other["server"]["routes"] == {}
+        assert other["window"]["count"] == 0
+
+        _, stats = _get(a, "/stats")
+        routes = stats["server"]["routes"]
+        assert stats["server"]["requests"] == sent
+        assert sum(e["count"] for e in routes.values()) == sent
+        assert stats["window"]["count"] == sent
+        assert stats["server"]["errors"] == failed
+        assert sum(e["errors"] for e in routes.values()) == failed
+        assert stats["window"]["errors"] == failed
+
+        _await_booked(a, sent + 1)
+        _, _, text = _get_text(a, "/metrics")
+        families = live.parse_prometheus(text)
+        route_requests = families["repro_http_route_requests_total"]["samples"]
+        route_errors = families["repro_http_route_errors_total"]["samples"]
+        assert live.sample_value(families, "repro_http_requests_total") == sent + 1
+        assert sum(value for _, value in route_requests) == sent + 1
+        assert live.sample_value(families, "repro_http_errors_total") == failed
+        assert sum(value for _, value in route_errors) == failed
+    finally:
+        a.close()
+        b.close()
 
 
 # ---- live telemetry: /metrics + sliding window -------------------------------

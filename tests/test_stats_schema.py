@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import time
 
 import pytest
 
@@ -60,13 +61,23 @@ GOLDEN_SPAN = {
     "parent": (str, type(None)),
 }
 
-#: Schema 5: the serve counters every document must now carry inside
-#: ``counters`` (the resident server's request accounting), with the
-#: per-route latency ledger as a dict.
+#: Schema 7: the serve counters every document carries inside
+#: ``counters`` are the query-pool ones.  Request accounting left
+#: ``counters`` (schema 5 put ``http_requests`` / ``http_errors`` /
+#: ``http_route_latency`` there): it lives in each server's telemetry
+#: and ``/stats`` renders it under ``server``.
 GOLDEN_SERVE_COUNTERS = {
-    "http_requests": int,
-    "http_errors": int,
-    "http_route_latency": dict,
+    "query_pool_dispatches": int,
+    "query_pool_fallbacks": int,
+}
+
+#: Keys of one ``/stats`` ``server.routes`` entry.
+GOLDEN_ROUTE_ENTRY = {
+    "count",
+    "errors",
+    "total_seconds",
+    "max_seconds",
+    "histogram",
 }
 
 #: Schema 6: the shape of one mergeable histogram snapshot — the value
@@ -85,11 +96,11 @@ GOLDEN_HISTOGRAM_SNAPSHOT = {
 #: The version these golden dicts describe.  If you bumped STATS_SCHEMA
 #: without updating the golden structure (or vice versa), the mismatch
 #: fails here with instructions rather than silently downstream.
-GOLDEN_SCHEMA_VERSION = 6
+GOLDEN_SCHEMA_VERSION = 7
 
 #: Every schema revision this repo has ever published; consumers and
 #: the metrics validator keep accepting all of them.
-KNOWN_SCHEMA_VERSIONS = (1, 2, 3, 4, 5, 6)
+KNOWN_SCHEMA_VERSIONS = (1, 2, 3, 4, 5, 6, 7)
 
 
 @pytest.fixture(autouse=True)
@@ -173,25 +184,29 @@ class TestGoldenStructure:
         )
 
     def test_serve_counters_present(self, capsys, small_model):
-        """Schema 5 golden case (still honored by 6): the serve fields
-        exist with their pinned types even in a process that never
-        served a request — consumers can rely on the keys, not probe
-        for them."""
+        """Schema 7 golden case: the serve fields exist with their
+        pinned types even in a process that never served a request —
+        consumers can rely on the keys, not probe for them — and the
+        request ledger is no longer among them."""
         document = stats_document(capsys)
         assert document["schema"] == GOLDEN_SCHEMA_VERSION
         counters = document["counters"]
         for key, types in GOLDEN_SERVE_COUNTERS.items():
-            assert key in counters, f"counters.{key} missing (schema 5)"
+            assert key in counters, f"counters.{key} missing (schema 7)"
             assert isinstance(counters[key], types)
-        assert counters["http_requests"] == 0
-        assert counters["http_route_latency"] == {}
+            assert counters[key] == 0
+        for key in ("http_requests", "http_errors", "http_route_latency"):
+            assert key not in counters, f"counters.{key} is back (schema 7)"
 
     def test_schema6_route_ledger_shape_after_serving(
         self, capsys, small_model
     ):
-        """After real served traffic the ledger carries per-route
-        entries with the pinned keys — schema 6 swapped the unbounded
-        ``samples`` list for a bounded ``histogram`` snapshot."""
+        """After real served traffic ``/stats`` ``server.routes`` carries
+        per-route entries with the pinned keys — schema 6 swapped the
+        unbounded ``samples`` list for a bounded ``histogram`` snapshot,
+        and schema 7 moved the ledger out of ``counters``."""
+        import urllib.request
+
         from repro.engine.partition import PackedDataset, pack_records
         from repro.notary.store import NotaryStore
         from repro.serve.server import start_server
@@ -204,22 +219,29 @@ class TestGoldenStructure:
         handle = start_server(store=packed)
         try:
             report = run_loadtest(handle.url, requests=40, concurrency=4)
+            # A request is booked just after its response is written.
+            deadline = time.monotonic() + 10.0
+            while (
+                time.monotonic() < deadline
+                and handle.server.stats_payload()["server"]["requests"] < 40
+            ):
+                time.sleep(0.01)
+            with urllib.request.urlopen(handle.url + "/stats") as response:
+                document = json.loads(response.read())
         finally:
             handle.close()
         assert report["errors"] == 0
-        capsys.readouterr()  # drop any earlier output
-        document = stats_document(capsys)
-        counters = document["counters"]
-        assert counters["http_requests"] >= 40
-        for route, entry in counters["http_route_latency"].items():
+        assert document["schema"] == GOLDEN_SCHEMA_VERSION
+        routes = document["server"]["routes"]
+        assert document["server"]["requests"] >= 40
+        assert document["server"]["requests"] == sum(
+            entry["count"] for entry in routes.values()
+        )
+        for route, entry in routes.items():
             assert isinstance(route, str)
-            assert {
-                "count",
-                "errors",
-                "total_seconds",
-                "max_seconds",
-                "histogram",
-            } == set(entry), f"route ledger keys changed for {route}"
+            assert GOLDEN_ROUTE_ENTRY == set(entry), (
+                f"route ledger keys changed for {route}"
+            )
             assert entry["count"] >= 1
             assert_shape(
                 entry["histogram"],
@@ -235,7 +257,7 @@ class TestGoldenStructure:
         duration histograms of the run (per-month simulation at least)
         and a null ``window`` (only the resident server fills it)."""
         document = stats_document(capsys)
-        assert document["schema"] == 6
+        assert document["schema"] == GOLDEN_SCHEMA_VERSION
         assert document["window"] is None
         histograms = document["histograms"]
         assert "simulate_month_seconds" in histograms

@@ -13,8 +13,7 @@ proven here rather than assumed:
   to re-packing the concatenated record streams sorted by month — the
   translated shape summaries carry the same floats bit for bit.
 * The vectorized index construction (numpy ``cumsum`` folds) equals the
-  pure-Python row loop equals the record-scan build — not approximately,
-  ``==`` on every counter.
+  record-scan build — not approximately, ``==`` on every counter.
 
 Comparisons use ``array.tobytes()`` and ``float.hex()`` so a ULP of
 drift fails loudly instead of hiding inside ``pytest.approx``.
@@ -30,7 +29,6 @@ from hypothesis import strategies as st
 
 from repro.notary.events import ConnectionRecord
 from repro.notary.store import NotaryStore, _MonthIndex, month_of
-from repro.notary import vector as _vector
 from repro.engine.partition import (
     PackedDataset,
     PackedMerge,
@@ -297,30 +295,23 @@ class TestScaleSemantics:
 
 
 class TestIndexVectorization:
-    """Satellite: numpy counter construction ≡ pure-Python row loop ≡
-    record-scan build — asserted with ``==``, never ``approx``."""
+    """The numpy counter construction ≡ the record-scan build — asserted
+    with ``==``, never ``approx``."""
 
     @pytest.fixture(scope="class")
     def dataset(self, small_window_store):
         return PackedDataset(pack_records(small_window_store.records()))
 
-    @pytest.mark.skipif(not _vector.available(), reason="numpy not installed")
     def test_vector_path_equals_python_path_equals_scan(
-        self, dataset, small_window_store, monkeypatch
+        self, dataset, small_window_store
     ):
         for month in dataset.months():
             vectorized = _MonthIndex.from_columns(dataset, month)
-            monkeypatch.setattr(_vector, "available", lambda: False)
-            try:
-                row_loop = _MonthIndex.from_columns(dataset, month)
-            finally:
-                monkeypatch.undo()
             scan = _MonthIndex.from_records(small_window_store.records(month))
-            for a, b in ((vectorized, row_loop), (vectorized, scan)):
-                assert a.total == b.total
-                assert a.established == b.established
-                assert a.weights == b.weights
-                assert a.established_weights == b.established_weights
+            assert vectorized.total == scan.total
+            assert vectorized.established == scan.established
+            assert vectorized.weights == scan.weights
+            assert vectorized.established_weights == scan.established_weights
 
     def test_vector_path_handles_empty_month(self, dataset):
         index = _MonthIndex.from_columns(dataset, dt.date(1999, 1, 1))
