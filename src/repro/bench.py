@@ -355,7 +355,14 @@ def bench_query_paths(ctx: BenchContext) -> dict:
     compilation memo dropped per iteration, so each arm pays its full
     cold cost each time.  The gated ``vector_vs_scan_ratio`` comes from
     here.
+
+    A third loop times Figure 4 cold on the packed store (the vector
+    tier's last-writer kernel) against a ``use_index = False`` store
+    (the last-wins dict over materialized records), after asserting
+    the two series are byte-identical: the gated
+    ``fig4_vector_vs_scan_ratio``.
     """
+    from repro.core.figures import fig4_fingerprint_support
     from repro.engine.partition import PackedDataset, pack_records
     from repro.notary.query import ESTABLISHED, NegotiatedVersion
     from repro.notary.store import NotaryStore
@@ -470,6 +477,32 @@ def bench_query_paths(ctx: BenchContext) -> dict:
     )
     metrics["vector_vs_scan_ratio"] = (
         vector_wall / s_scan_wall if s_scan_wall > 0 else 1.0
+    )
+
+    # ---- Figure 4: last-writer kernel vs the record scan's dict fold ----
+    def fig4_run(use_index: bool):
+        _reset_query_state(dataset)
+        return fig4_fingerprint_support(
+            structured_store(True, use_index=use_index), months
+        )
+
+    if repr(fig4_run(True)) != repr(fig4_run(False)):
+        raise RuntimeError("fig4 last-writer kernel diverged from the scan")
+    fig4_scan_walls: list[float] = []
+    fig4_vector_walls: list[float] = []
+    for _ in range(iterations):
+        started = time.perf_counter()
+        fig4_run(False)
+        fig4_scan_walls.append(time.perf_counter() - started)
+        started = time.perf_counter()
+        fig4_run(True)
+        fig4_vector_walls.append(time.perf_counter() - started)
+    fig4_scan_wall = min(fig4_scan_walls)
+    fig4_vector_wall = min(fig4_vector_walls)
+    counters["fig4_scan_wall_seconds"] = fig4_scan_wall
+    counters["fig4_vector_wall_seconds"] = fig4_vector_wall
+    metrics["fig4_vector_vs_scan_ratio"] = (
+        fig4_vector_wall / fig4_scan_wall if fig4_scan_wall > 0 else 1.0
     )
 
     return {

@@ -10,11 +10,12 @@ would consume.  Established connections form the denominator of the
 Every generator accepts an optional ``months`` list so batch callers
 compute the store's sorted month list once; :func:`evaluate_all`
 answers all ten figures that way.  On packed months the store resolves
-each series through its shape-compiled tier (predicates evaluated once
-per distinct record shape, memoized per dataset), and the fingerprint
-and TLS 1.3 helpers below use the same shape access directly — so the
-whole batch costs one pass over each month's shapes rather than ten
-record scans.  All fast paths are float-identical to the record scans
+each series through its fast tiers: the aggregate index, numpy masks
+over the int-coded shape matrix, or per-shape evaluation.  Figure 4's
+per-fingerprint counts come from the vector tier's last-writer kernel
+(:meth:`NotaryStore.distinct_count`) — integer numpy work over shape
+codes, no template walk — and the TLS 1.3 mix helper folds the packed
+columns directly.  All fast paths are identical to the record scans
 they replace and silently fall back to records when a month is not
 packed.
 """
@@ -22,7 +23,6 @@ packed.
 from __future__ import annotations
 
 import datetime as _dt
-from collections import defaultdict
 
 from repro.notary.query import (
     ESTABLISHED,
@@ -81,46 +81,29 @@ def fig3_advertised_modes(store: NotaryStore, months=None) -> Series:
     return out
 
 
-def _month_fingerprints(store: NotaryStore, month: _dt.date) -> dict:
-    """``{fingerprint: advertised}`` for one month, last record wins.
-
-    Shape fast path: fingerprint and advertised are shape fields, so
-    walking the month's shapes in *last-occurrence* order performs the
-    same last-wins dict fold the record scan would — each fingerprint
-    ends up with the advertised set of its last record.  Falls back to
-    the record scan when the month is not packed.
-    """
-    seen: dict[tuple, frozenset] = {}
-    templates = store.shape_templates(month, order="last")
-    if templates is not None:
-        for record in templates:
-            if record.fingerprint is None:
-                continue
-            seen[record.fingerprint] = record.advertised
-        return seen
-    for record in store.records(month):
-        if record.fingerprint is None:
-            continue
-        seen[record.fingerprint] = record.advertised
-    return seen
-
-
 def fig4_fingerprint_support(store: NotaryStore, months=None) -> Series:
     """Figure 4: support per distinct monthly fingerprint (not traffic-weighted).
 
+    Each distinct fingerprint of the month votes once, with the
+    advertised set of its *last* record (a last-wins fold over the
+    month's records).  :meth:`NotaryStore.distinct_count` answers each
+    (month, tag) pair as integer counts — on packed months from the
+    vector tier's last-writer kernel, otherwise from the record fold.
     Only months with fingerprint fields (>= Feb 2014) produce points.
     """
     if months is None:
         months = store.months()
-    out: Series = {label: [] for label in ("AEAD", "RC4", "DES", "3DES", "CBC")}
-    tag_of = {"AEAD": "aead", "RC4": "rc4", "DES": "des", "3DES": "3des", "CBC": "cbc"}
+    advertises = {
+        label: Advertises(tag)
+        for label, tag in (("AEAD", "aead"), ("RC4", "rc4"), ("DES", "des"), ("3DES", "3des"), ("CBC", "cbc"))
+    }
+    out: Series = {label: [] for label in advertises}
     for month in months:
-        seen = _month_fingerprints(store, month)
-        if not seen:
-            continue
-        for label, tag in tag_of.items():
-            count = sum(1 for advertised in seen.values() if tag in advertised)
-            out[label].append((month, 100.0 * count / len(seen)))
+        for label, predicate in advertises.items():
+            count, n = store.distinct_count(month, "fingerprint", predicate)
+            if not n:
+                break  # no fingerprints this month: no point for any label
+            out[label].append((month, 100.0 * count / n))
     return {k: v for k, v in out.items() if v}
 
 

@@ -668,17 +668,13 @@ class NotaryStore:
 
     # ---- shape-level access (figure fast paths) ----------------------------
 
-    def shape_templates(
-        self, month: _dt.date, *, order: str = "first"
-    ) -> list[ConnectionRecord] | None:
-        """Guarded template records of the shapes present in ``month``.
+    def shape_templates(self, month: _dt.date) -> list[ConnectionRecord] | None:
+        """Guarded template records of the shapes present in ``month``,
+        by first appearance in record order.
 
         Returns ``None`` whenever the shape tier cannot serve the month
         (not packed, day columns present, or ``use_index`` is off);
-        callers then fall back to ``records(month)``.  ``order="first"``
-        yields shapes by first appearance in record order,
-        ``order="last"`` by last appearance — the order a last-wins
-        dict fold over the records would visit its surviving writers.
+        callers then fall back to ``records(month)``.
         """
         month = month_of(month)
         if not self.use_index:
@@ -686,10 +682,8 @@ class NotaryStore:
         dataset = self._packed.get(month)
         if dataset is None or dataset.has_days(month):
             return None
-        summary = dataset.shape_summary(month)
         templates = dataset.guarded_templates()
-        picks = summary["last"] if order == "last" else summary["order"]
-        return [templates[idx] for idx in picks]
+        return [templates[idx] for idx in dataset.shape_summary(month)["order"]]
 
     def packed_columns(self, month: _dt.date):
         """``(weights, shape_idx, guarded templates)`` for a packed month.
@@ -938,6 +932,42 @@ class NotaryStore:
         if months is None:
             months = self.months()
         return [(m, self.fraction(m, predicate, within)) for m in months]
+
+    def distinct_count(
+        self,
+        month: _dt.date,
+        key_field: str,
+        predicate: Callable[[ConnectionRecord], bool],
+    ) -> tuple[int, int]:
+        """``(matching, distinct)`` over the month's distinct non-None
+        values of ``key_field``, each represented by its *last* record.
+
+        ``distinct`` counts the values; ``matching`` counts those whose
+        last record satisfies ``predicate`` — Figure 4's per-fingerprint
+        lens (one vote per distinct fingerprint, not per connection).
+        The vector tier answers from the view's last-writer kernel and
+        the predicate's compiled mask; anything else folds the records
+        into a last-wins dict.  Both pick the same winner set, so both
+        return the same two ints.
+        """
+        month = month_of(month)
+        if self.use_index:
+            vview = self._vector_view(month)
+            if vview is not None:
+                winners = vview.last_writers(key_field)
+                if winners is not None:
+                    mask = vview.matrix.compile_mask(predicate)
+                    if mask is not None:
+                        PERF.vector_path_hits += 1
+                        return int(np.count_nonzero(mask[winners])), int(winners.size)
+                    self._vector_note(month, "predicate")
+            self._scan_note(month, "distinct")
+        last: dict = {}
+        for record in self._month_records(month):
+            key = getattr(record, key_field)
+            if key is not None:
+                last[key] = record
+        return sum(1 for record in last.values() if predicate(record)), len(last)
 
     def weighted_mean(
         self,

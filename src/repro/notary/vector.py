@@ -24,6 +24,14 @@ independent row-order folds (Σw·v with elementwise products, and Σw),
 matching the scan's interleaved accumulator pair because each
 accumulator sees an identical operand sequence either way.
 
+Figure 4's per-fingerprint counts need no float fold at all: each view
+has a **last-writer kernel** (:meth:`VectorView.last_writers`) that
+picks, per distinct non-``None`` value of a field, the shape of the
+month's last record carrying it — integer ``np.unique`` work over the
+pack-time last-occurrence order and the field's codes, the same
+winners a last-wins dict over the records keeps.  The store counts the
+winners under a compiled mask (:meth:`NotaryStore.distinct_count`).
+
 numpy is a hard dependency.  When a predicate doesn't compile the
 compilers here return ``None`` and the store falls through to the shape
 tier, which answers the same bytes.
@@ -86,7 +94,8 @@ class ShapeMatrix:
         self._mask_cache: dict = {}
         self._value_cache: dict = {}
 
-    def _field_codes(self, field: str):
+    def field_codes(self, field: str):
+        """The per-shape vocab codes of ``field`` (numpy, memoized)."""
         codes = self._codes.get(field)
         if codes is None:
             codes = self._codes[field] = _np.array(
@@ -151,7 +160,7 @@ class ShapeMatrix:
             # Not vector-evaluable (reads beyond its declared field):
             # the contract is "None means next tier", by design.
             return None
-        return flags[self._field_codes(field)]
+        return flags[self.field_codes(field)]
 
     # ---- value functions ----------------------------------------------------
 
@@ -190,8 +199,14 @@ class ShapeMatrix:
             _np.float64,
             count=size,
         )
-        codes = self._field_codes(field)
+        codes = self.field_codes(field)
         return vals[codes], valid[codes]
+
+    def vocab(self, field: str) -> list | None:
+        """``field``'s distinct canonical values (index = code), or None
+        when the matrix has no such field."""
+        entry = self._fields.get(field)
+        return None if entry is None else entry["vocab"]
 
     def n_shapes(self) -> int:
         for entry in self._fields.values():
@@ -208,7 +223,10 @@ class VectorView:
     shared per dataset, like ``_ShapeView``.
     """
 
-    __slots__ = ("matrix", "weights", "idxs", "total", "established")
+    __slots__ = (
+        "matrix", "weights", "idxs", "total", "established", "_last",
+        "_last_writers",
+    )
 
     def __init__(self, dataset, month: _dt.date, matrix: ShapeMatrix) -> None:
         summary = dataset.shape_summary(month)
@@ -218,6 +236,38 @@ class VectorView:
         self.idxs = _np.array(idxs, dtype=_np.intp)
         self.total = summary["total"]
         self.established = summary["established"]
+        #: The month's shapes in last-occurrence order (pack-time summary).
+        self._last = summary["last"]
+        self._last_writers: dict = {}
+
+    def last_writers(self, field: str):
+        """Shape indices of the month's *last writer* per distinct
+        non-``None`` value of ``field`` (memoized), or None when the
+        matrix has no such field.
+
+        A last-wins dict fold over the month's records keyed on
+        ``field`` leaves each value with its last record, whose shape is
+        the value's shape that occurs last.  So the winners are, per
+        code, the last entry of the ``last``-occurrence shape order:
+        ``np.unique`` over the reversed code sequence returns each
+        code's first position there, which maps back to a shape index.
+        """
+        try:
+            return self._last_writers[field]
+        except KeyError:
+            pass
+        vocab = self.matrix.vocab(field)
+        if vocab is None:
+            return None
+        order = _np.array(self._last, dtype=_np.intp)
+        codes = self.matrix.field_codes(field)[order]
+        none = [code for code, value in enumerate(vocab) if value is None]
+        if none:
+            keep = codes != none[0]
+            order, codes = order[keep], codes[keep]
+        _values, first = _np.unique(codes[::-1], return_index=True)
+        winners = self._last_writers[field] = order[order.size - 1 - first]
+        return winners
 
     def _fold(self, selected) -> float:
         """Left fold of ``selected`` in row order, bit-equal to the

@@ -222,3 +222,37 @@ class TestBenchCli:
             "--baseline", str(tmp_path / "absent.json"),
         ]) == 0
         assert "gate skipped" in capsys.readouterr().err
+
+
+class TestFig4KernelGate:
+    def test_declining_kernel_trips_the_gate(self, tmp_path, capsys, monkeypatch):
+        """Mutation check for ``fig4_vector_vs_scan_ratio``: forcing the
+        vector tier's last-writer kernel to decline sends Figure 4 on
+        the packed store down the record scan, so the same-run ratio
+        climbs toward 1 — the compare must report it and the CLI must
+        exit 1."""
+        from repro.cli import main
+        from repro.notary import vector
+
+        monkeypatch.chdir(tmp_path)
+        honest = bench.make_baseline(bench.run_benches(["query.paths"], scale=0.01))
+        baseline_path = tmp_path / "baseline.json"
+        baseline_path.write_text(json.dumps(honest))
+
+        monkeypatch.setattr(
+            vector.VectorView, "last_writers", lambda self, field: None
+        )
+        assert main([
+            "bench", "query.paths", "--scale", "0.01",
+            "--baseline", str(baseline_path),
+        ]) == 1
+        out = capsys.readouterr().out
+        assert "REGRESSIONS" in out
+        assert "fig4_vector_vs_scan_ratio" in out
+
+        (trajectory,) = tmp_path.glob("BENCH_*.json")
+        mutated = json.loads(trajectory.read_text())["runs"][-1]
+        failures = bench.diff_baseline(mutated, honest)
+        assert any("fig4_vector_vs_scan_ratio" in f for f in failures)
+        ratio = mutated["records"][0]["metrics"]["fig4_vector_vs_scan_ratio"]
+        assert ratio > honest["records"][0]["metrics"]["fig4_vector_vs_scan_ratio"] * 10

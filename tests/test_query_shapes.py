@@ -23,6 +23,10 @@ Coverage map (PR 5's satellite #3 plus PR 6's three-way differential):
 * transient materialization (packed months survive ``records()``) and
   the ``materialize_cache_months`` bound;
 * batched figure evaluation and the packed figure fast paths;
+* ``distinct_count`` and Figure 4 (last-writer kernel vs the record
+  scan's last-wins dict) on a hand-built interleaved month, a
+  pre-fingerprint window, day-carrying months, both escape hatches, an
+  incremental-ingest store, and a cache-warm store;
 * metrics events (``shape_view_build`` / ``scan_fallback`` /
   ``vector_path``) passing the CI validator in
   ``scripts/check_metrics_jsonl.py``.
@@ -569,6 +573,188 @@ class TestVectorTier:
                 month, MODERN, ESTABLISHED
             )
         assert PERF.vector_path_hits == 0
+
+
+def _fig4_and_counts(store, key_fields=("fingerprint",)):
+    """Figure 4 plus every (month, field, leaf) ``distinct_count``."""
+    counts = [
+        store.distinct_count(month, field, factory())
+        for month in store.months()
+        for field in key_fields
+        for factory in STRUCTURED_LEAVES
+    ]
+    return figures.fig4_fingerprint_support(store), counts
+
+
+def _scan_twin(records) -> NotaryStore:
+    scan = NotaryStore()
+    scan.extend(records)
+    scan.use_index = False
+    return scan
+
+
+class TestDistinctCount:
+    """``distinct_count`` / Figure 4: the vector tier's last-writer
+    kernel ≡ the record scan's last-wins dict, compared with ``==``."""
+
+    def _interleaved_month(self, small_window_store):
+        """One month where fingerprints A and B each appear on several
+        shapes (different ``advertised`` sets), interleaved.  A's last
+        record is on a shape it showed before, so the last-wins winner
+        differs from A's first record and from the shape A showed first
+        most recently; B's last record differs from its first.  The
+        shapes' last-occurrence order is not symmetric, so a kernel
+        that skipped the reversal picks other winners too."""
+        import dataclasses
+
+        from repro.notary.events import FingerprintFields
+
+        base = next(
+            r for r in small_window_store.records() if r.fingerprint is not None
+        )
+        fp_a = FingerprintFields((0x002F, 0x0035), (0, 10), (23,), (0,))
+        fp_b = FingerprintFields((0xC02F,), (0, 10, 11), (29, 23), (0,))
+
+        def record(fingerprint, advertised, weight):
+            return dataclasses.replace(
+                base,
+                fingerprint=fingerprint,
+                advertised=frozenset(advertised),
+                weight=weight,
+            )
+
+        return [
+            record(fp_b, {"aead", "3des"}, 1.0),
+            record(fp_a, {"des"}, 2.0),
+            record(fp_a, {"rc4", "cbc"}, 3.0),
+            record(fp_a, {"aead", "cbc"}, 4.0),
+            record(None, {"rc4", "des"}, 5.0),
+            record(fp_b, {"aead", "3des"}, 6.0),
+            record(fp_a, {"rc4", "cbc"}, 7.0),
+            record(fp_b, {"aead"}, 8.0),
+        ]
+
+    def test_interleaved_last_writer_wins(self, small_window_store):
+        records = self._interleaved_month(small_window_store)
+        month = records[0].month
+        packed = NotaryStore()
+        packed.attach_packed(PackedDataset(pack_records(records)))
+        scan = _scan_twin(records)
+        expected = {
+            "rc4": (1, 2), "aead": (1, 2), "cbc": (1, 2), "des": (0, 2),
+            "3des": (0, 2),
+        }
+        PERF.reset()
+        for tag, counts in expected.items():
+            assert scan.distinct_count(month, "fingerprint", Advertises(tag)) == counts
+            assert packed.distinct_count(month, "fingerprint", Advertises(tag)) == counts
+        assert PERF.vector_path_hits == len(expected)
+        assert PERF.scan_fallbacks == 0
+        fig4 = figures.fig4_fingerprint_support(packed)
+        assert fig4 == figures.fig4_fingerprint_support(scan)
+        assert fig4 == {
+            "AEAD": [(month, 50.0)],
+            "RC4": [(month, 50.0)],
+            "DES": [(month, 0.0)],
+            "3DES": [(month, 0.0)],
+            "CBC": [(month, 50.0)],
+        }
+
+    def test_small_window_matches_scan(self, packed_store, scan_store):
+        fields = ("fingerprint", "negotiated_suite", "client_family")
+        PERF.reset()
+        assert _fig4_and_counts(packed_store, fields) == _fig4_and_counts(
+            scan_store, fields
+        )
+        assert PERF.vector_path_hits > 0
+        assert PERF.scan_fallbacks == 0
+
+    def test_uncompilable_predicate_falls_back(self, packed_store, scan_store):
+        month = scan_store.months()[0]
+        predicate = lambda r: "rc4" in r.advertised  # noqa: E731
+        PERF.reset()
+        assert packed_store.distinct_count(
+            month, "fingerprint", predicate
+        ) == scan_store.distinct_count(month, "fingerprint", predicate)
+        assert PERF.vector_compile_misses == 1
+        assert PERF.scan_fallbacks == 1
+
+    def test_pre_fingerprint_window_emits_no_points(self, early_window_store):
+        packed = NotaryStore()
+        packed.attach_packed(
+            PackedDataset(pack_records(early_window_store.records()))
+        )
+        scan = _scan_twin(early_window_store.records())
+        PERF.reset()
+        assert figures.fig4_fingerprint_support(packed) == {}
+        assert PERF.vector_path_hits > 0
+        assert figures.fig4_fingerprint_support(scan) == {}
+        assert _fig4_and_counts(packed) == _fig4_and_counts(scan)
+        month = packed.months()[0]
+        assert packed.distinct_count(month, "fingerprint", Advertises("rc4")) == (0, 0)
+
+    def test_day_months_fall_back_to_scan(self, montecarlo_store):
+        reference = _scan_twin(montecarlo_store.records())
+        packed = NotaryStore()
+        packed.attach_packed(PackedDataset(pack_records(montecarlo_store.records())))
+        PERF.reset()
+        result = _fig4_and_counts(packed)
+        assert PERF.vector_path_hits == 0
+        assert PERF.scan_fallbacks > 0
+        assert result == _fig4_and_counts(reference)
+        assert result[0], "the Monte-Carlo window carries fingerprints"
+
+    def test_escape_hatches(self, dataset, scan_store):
+        expected = _fig4_and_counts(scan_store)
+        no_vector = NotaryStore()
+        no_vector.attach_packed(dataset)
+        no_vector.use_vector = False
+        PERF.reset()
+        assert _fig4_and_counts(no_vector) == expected
+        assert PERF.vector_path_hits == 0
+        assert PERF.scan_fallbacks > 0
+        no_index = NotaryStore()
+        no_index.attach_packed(dataset)
+        no_index.use_index = False
+        PERF.reset()
+        assert _fig4_and_counts(no_index) == expected
+        assert PERF.vector_path_hits == 0
+        assert PERF.scan_fallbacks == 0  # a forced scan is not a fallback
+
+    def test_ingest_store(self, small_window_store):
+        months = small_window_store.months()
+        sealed, fresh = months[:-2], months[-2:]
+        store = NotaryStore()
+        store.attach_packed(
+            PackedDataset(
+                pack_records([r for m in sealed for r in small_window_store.records(m)])
+            )
+        )
+        # The first fresh month's winners memoize on the ingest
+        # dataset's view; appending the second must invalidate them.
+        store.add_batch(fresh[0], small_window_store.records(fresh[0]))
+        partial = _scan_twin(
+            [r for m in months[:-1] for r in small_window_store.records(m)]
+        )
+        assert _fig4_and_counts(store) == _fig4_and_counts(partial)
+        store.add_batch(fresh[1], small_window_store.records(fresh[1]))
+        assert store._packed[fresh[0]] is store._ingest
+        PERF.reset()
+        assert _fig4_and_counts(store) == _fig4_and_counts(
+            _scan_twin(small_window_store.records())
+        )
+        assert PERF.scan_fallbacks == 0
+
+    def test_cache_warm_store(self, packed_store, scan_store, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        key = "d" * 64
+        assert dataset_cache.save_store(packed_store, key) is not None
+        warm = dataset_cache.load_store(key)
+        assert warm is not None
+        PERF.reset()
+        assert _fig4_and_counts(warm) == _fig4_and_counts(scan_store)
+        assert PERF.vector_path_hits > 0
+        assert PERF.scan_fallbacks == 0
 
 
 class TestNumpyAbsentFallback:

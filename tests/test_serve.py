@@ -651,6 +651,45 @@ def test_request_ledger_is_per_server_and_reconciles(served_store):
         b.close()
 
 
+def test_fig4_books_its_tier_and_scans_stay_serialized(
+    served_store, montecarlo_store
+):
+    """A served fig4 is booked under the tier that answered it:
+    ``vector`` on a packed store, ``scan`` on a day-carrying packed
+    store (its months fall back to the record fold).  A scan mutates
+    the materialization LRU, so a repeat fig4 there must still wait for
+    the query lock, while the vector one runs lock-free once warm."""
+    day_store = NotaryStore()
+    day_store.attach_packed(
+        PackedDataset(pack_records(montecarlo_store.records()))
+    )
+    for store, tier in ((served_store, "vector"), (day_store, "scan")):
+        handle = start_server(store=store)
+        try:
+            assert _get(handle, "/figures/fig4")[0] == 200
+            _await_booked(handle, 1)
+            _, stats = _get(handle, "/stats")
+            assert stats["window"]["tier_totals"] == {tier: 1}
+
+            answered = threading.Event()
+
+            def repeat():
+                if _get(handle, "/figures/fig4")[0] == 200:
+                    answered.set()
+
+            with handle.server._query_lock:
+                worker = threading.Thread(target=repeat, daemon=True)
+                worker.start()
+                if tier == "vector":
+                    assert answered.wait(10.0), "warm vector fig4 took the lock"
+                else:
+                    assert not answered.wait(0.3), "scan fig4 ran unlocked"
+            worker.join(10.0)
+            assert answered.is_set()
+        finally:
+            handle.close()
+
+
 # ---- live telemetry: /metrics + sliding window -------------------------------
 
 
