@@ -94,10 +94,10 @@ def test_perf_engine_run_serial(benchmark):
 
 
 def test_perf_engine_run_parallel(benchmark):
-    from repro.engine import runner
+    from repro.engine import executors, runner
 
     clients, servers, start, end = _engine_window()
-    if not runner.fork_available():
+    if not executors.fork_available():
         import pytest
 
         pytest.skip("no fork start method on this platform")

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run a command under a hard address-space ceiling.
 
-The CI ``scale`` job's enforcement half: ``repro run --scale 50`` must
+The CI ``scale`` job's enforcement half: ``repro --scale 50 run`` must
 complete inside a fixed memory budget, proving the streaming ingest
 path really is out-of-core — a regression that materializes a scaled
 month's record objects blows the ceiling and the child dies with
@@ -9,7 +9,7 @@ month's record objects blows the ceiling and the child dies with
 
 Usage::
 
-    python scripts/check_rss.py --limit-mb 1024 -- python -m repro run --scale 50
+    python scripts/check_rss.py --limit-mb 1024 -- python -m repro --scale 50 run
 
 The limit is applied with ``resource.setrlimit`` in the child via
 ``preexec_fn``.  ``RLIMIT_AS`` (total address space) is used rather

@@ -193,10 +193,10 @@ def bench_engine_serial(ctx: BenchContext) -> dict:
 
 def bench_engine_parallel(ctx: BenchContext) -> dict:
     from repro.clients.population import default_population
-    from repro.engine import runner
+    from repro.engine import executors, runner
     from repro.servers import ServerPopulation
 
-    if not runner.fork_available():
+    if not executors.fork_available():
         return {"skipped": "no fork start method on this platform"}
     started = time.perf_counter()
     store = runner.run_expectation(

@@ -41,18 +41,18 @@ Commands:
   p50/p95/p99, in-flight gauges, query-tier mix, fault/retry counters.
 
 Engine flags (global, before the command): ``--workers N`` shards the
-expectation run across N processes (``REPRO_WORKERS``; 0 = serial),
+expectation run across N processes (default: the CPU count; 0 = serial),
 ``--no-cache`` disables the persistent dataset cache, ``--rebuild``
 ignores and overwrites any cached dataset, ``--resume`` picks a killed
 run back up from its month checkpoints, ``--faults SPEC`` injects
 deterministic faults (``worker_crash:0.1,chunk_hang:0.05,seed:42`` —
 see :mod:`repro.engine.faults`) to exercise the recovery paths, and
-``--scale N`` (``REPRO_SCALE``) multiplies per-month record counts by N
+``--scale N`` (an integer >= 1) multiplies per-month record counts by N
 at ``weight/N`` — record volume scales, aggregates stay put, and the
 streaming ingest path keeps resident memory bounded (``--scale 1`` is
 the seed dataset exactly).  Note ``bench``'s own ``--scale`` (after the
 subcommand) is the micro-bench *iteration* multiplier, a different
-knob.  ``--backend fork|inline|spawn`` (``REPRO_BACKEND``; flag wins)
+knob; ``bench`` rejects a global ``--scale`` other than 1.  ``--backend fork|inline|spawn`` (``REPRO_BACKEND``; flag wins)
 selects the execution backend worker chunks run on — see
 :mod:`repro.engine.executors`.
 
@@ -62,14 +62,16 @@ PATH`` (or ``REPRO_METRICS_PATH``; the flag wins when both are set)
 appends one JSON line per engine event to that file (the CLI rotates a
 pre-existing file aside at startup — except under ``trace``, which only
 *reads* sinks and must never rotate the file it is about to analyze);
-``--profile cprofile|tracemalloc`` (or ``REPRO_PROFILE``; flag wins)
-wraps the engine phases in opt-in profiling whose hotspots surface in
-``stats --json`` and bench records.
+``--profile cprofile|tracemalloc`` wraps the engine phases in opt-in
+profiling whose hotspots surface in ``stats --json`` and bench records.
 
 Every command resolves the simulation through one process-wide
 :func:`repro.simulation.ecosystem.default_model`, so chaining commands
 in a single process (``main([...]); main([...])``) simulates at most
-once.
+once.  :func:`model_kwargs` is the one place the engine flags become
+that model's fields; the environment is read only for the six knobs
+``REPRO_CACHE_DIR``, ``REPRO_CACHE_MAX_BYTES``, ``REPRO_FAULTS``,
+``REPRO_BACKEND``, ``REPRO_LOG_LEVEL`` and ``REPRO_METRICS_PATH``.
 """
 
 from __future__ import annotations
@@ -81,39 +83,38 @@ import sys
 import time
 
 
-def _model(args: argparse.Namespace | None = None):
+def model_kwargs(args: argparse.Namespace) -> dict:
+    """The global engine flags as :class:`EcosystemModel` fields.
+
+    The one place CLI flags become run configuration: the shared
+    default model and ``serve --start/--end``'s own model both take it.
+    """
+    return {
+        "workers": args.workers,
+        "use_cache": not args.no_cache,
+        "rebuild": args.rebuild,
+        "faults": args.faults,
+        "resume": args.resume,
+        "scale": args.scale,
+    }
+
+
+def _model(args: argparse.Namespace):
     from repro.simulation.ecosystem import default_model
 
-    if args is None:
-        return default_model()
-    return default_model(
-        workers=getattr(args, "workers", None),
-        use_cache=False if getattr(args, "no_cache", False) else None,
-        rebuild=getattr(args, "rebuild", False),
-        faults=getattr(args, "faults", None),
-        resume=True if getattr(args, "resume", False) else None,
-        scale=getattr(args, "scale", None),
-    )
+    return default_model(**model_kwargs(args))
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
     from repro.core import figures
 
-    generators = {
-        "fig1": figures.fig1_negotiated_versions,
-        "fig2": figures.fig2_negotiated_modes,
-        "fig3": figures.fig3_advertised_modes,
-        "fig4": figures.fig4_fingerprint_support,
-        "fig5": figures.fig5_cipher_positions,
-        "fig6": figures.fig6_rc4_advertised,
-        "fig7": figures.fig7_weak_advertised,
-        "fig8": figures.fig8_key_exchange,
-        "fig9": figures.fig9_negotiated_aead,
-        "fig10": figures.fig10_advertised_aead,
-    }
-    generator = generators.get(args.name)
+    generator = figures.FIGURE_GENERATORS.get(args.name)
     if generator is None:
-        print(f"unknown figure {args.name!r}; choose from {sorted(generators)}", file=sys.stderr)
+        print(
+            f"unknown figure {args.name!r}; "
+            f"choose from {sorted(figures.FIGURE_GENERATORS)}",
+            file=sys.stderr,
+        )
         return 2
     store = _model(args).passive_store()
     series = generator(store)
@@ -225,8 +226,8 @@ def cmd_timeline(args: argparse.Namespace) -> int:
 #: Version of the ``stats --json`` document layout; bump on any
 #: backwards-incompatible key change (tests pin the schema).
 #: History: 1 — initial (schema/dataset/counters/derived/trace);
-#: 2 — added top-level ``profile`` (null unless ``--profile`` /
-#: ``REPRO_PROFILE`` is active) and span records gained ``id`` /
+#: 2 — added top-level ``profile`` (null unless ``--profile`` is
+#: active) and span records gained ``id`` /
 #: ``parent_id`` / ``pid``.
 #: 3 — ``counters`` gained the shape-tier fields ``shape_evals`` /
 #: ``shape_path_hits`` / ``scan_fallbacks``.
@@ -427,12 +428,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             model = EcosystemModel(
                 start=args.start or STUDY_START,
                 end=args.end or STUDY_END,
-                workers=getattr(args, "workers", None),
-                use_cache=False if getattr(args, "no_cache", False) else None,
-                rebuild=getattr(args, "rebuild", False),
-                faults=getattr(args, "faults", None),
-                resume=True if getattr(args, "resume", False) else None,
-                scale=getattr(args, "scale", None),
+                **model_kwargs(args),
             )
         else:
             model = _model(args)
@@ -508,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="worker processes for the expectation run "
-             "(default: REPRO_WORKERS or CPU count; 0 = serial)",
+             "(default: CPU count; 0 = serial)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -520,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--resume", action="store_true",
-        help="resume a killed run from its month checkpoints (REPRO_RESUME)",
+        help="resume a killed run from its month checkpoints",
     )
     parser.add_argument(
         "--faults", default=None, metavar="SPEC",
@@ -528,10 +524,11 @@ def build_parser() -> argparse.ArgumentParser:
              "'worker_crash:0.1,chunk_hang:0.05,seed:42' (REPRO_FAULTS)",
     )
     parser.add_argument(
-        "--scale", type=int, default=None, metavar="N",
+        "--scale", type=int, default=1, metavar="N",
         help="dataset scale: emit every expectation record N times at "
              "weight/N — record counts multiply, aggregates stay put "
-             "(REPRO_SCALE; default 1 = the seed dataset exactly)",
+             "(default 1 = the seed dataset exactly); applies to the "
+             "commands that build the dataset, and bench rejects it",
     )
     parser.add_argument(
         "--backend", default=None, choices=["fork", "inline", "spawn"],
@@ -553,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--profile", default=None, choices=["cprofile", "tracemalloc"],
         help="profile the engine phases and surface hotspots in "
-             "stats --json / bench records (REPRO_PROFILE; flag wins)",
+             "stats --json / bench records",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -785,6 +782,13 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.scale < 1:
+        parser.error(f"argument --scale: must be >= 1, got {args.scale}")
+    if args.scale != 1 and getattr(args, "func", None) is cmd_bench:
+        parser.error(
+            "argument --scale: bench runs its windows at scale 1; its own "
+            "--scale (after the subcommand) multiplies iteration counts"
+        )
     obs.configure_logging("DEBUG" if getattr(args, "verbose", False) else None)
     # --metrics is a first-class alias for REPRO_METRICS_PATH; the flag
     # wins over an ambient variable (explicit beats environment, same
@@ -792,10 +796,6 @@ def main(argv: list[str] | None = None) -> int:
     # keeps worker processes and in-process chained commands consistent.
     if getattr(args, "metrics", None):
         os.environ["REPRO_METRICS_PATH"] = args.metrics
-    # Same env installation for the dataset scale: subprocesses the
-    # command spawns (bench probes, serve reloads) see the flag too.
-    if getattr(args, "scale", None) is not None:
-        os.environ["REPRO_SCALE"] = str(args.scale)
     # And for the execution backend — every run_expectation call in
     # this process (and any child it spawns) sees the selection.  The
     # flag is validated eagerly so a typo fails at the CLI boundary.

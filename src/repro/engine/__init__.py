@@ -6,8 +6,8 @@ land.  This package makes that path fast three ways at once:
 
 * :mod:`repro.engine.runner` — months are independent in expectation
   mode, so the full 2012–2018 run shards across ``multiprocessing``
-  workers (``REPRO_WORKERS`` / ``--workers``; ``0`` forces the serial
-  fallback).  Workers ship compact serialized month partitions back to
+  workers (``--workers``, default the CPU count; ``0`` forces the
+  serial fallback).  Workers ship compact serialized month partitions back to
   the parent, which merges them into one :class:`~repro.notary.store.NotaryStore`.
 * :mod:`repro.notary.store` + :mod:`repro.notary.query` — a per-month
   aggregate index answers the standard figure predicates from O(1)
@@ -26,6 +26,14 @@ resharded, and a chunk out of attempts re-runs inline in the parent.
 :mod:`repro.engine.faults` injects deterministic, seedable faults
 (``REPRO_FAULTS`` / ``--faults``) at every one of those seams so the
 recovery machinery is exercised constantly, not trusted.
+
+Run configuration arrives as arguments (the CLI resolves its flags once
+into :class:`repro.simulation.ecosystem.EcosystemModel`).  The engine
+reads only four environment knobs, each in one function:
+``REPRO_CACHE_DIR`` (:func:`repro.engine.cache.cache_dir`),
+``REPRO_CACHE_MAX_BYTES`` (:func:`repro.engine.cache.max_cache_bytes`),
+``REPRO_FAULTS`` (:func:`repro.engine.faults.current`) and
+``REPRO_BACKEND`` (:func:`repro.engine.executors.resolve_backend`).
 
 :mod:`repro.engine.perf` instruments all of it; ``python -m repro
 stats`` renders the counters.

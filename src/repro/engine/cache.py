@@ -19,7 +19,7 @@ Layout under the cache directory (``REPRO_CACHE_DIR``, default
   opens in O(metadata) time and the OS pages column bytes in only as
   queries touch them.  The envelope carries its own CRC32 (always
   verified); the column region's CRC is verified eagerly only when the
-  region is small (or ``REPRO_CACHE_VERIFY=1`` forces it), because
+  region is small (:data:`_EAGER_VERIFY_BYTES`), because
   checksumming gigabytes would page everything in and defeat the
   point of mapping.
 
@@ -104,7 +104,7 @@ _MMAP_HEADER = struct.Struct("<4sIQI")
 
 #: Column regions up to this size get their CRC verified at load time;
 #: larger regions skip the eager check (it would page the whole file
-#: in) unless ``REPRO_CACHE_VERIFY=1`` insists.
+#: in).
 _EAGER_VERIFY_BYTES = 64 * 1024 * 1024
 
 #: Default LRU size cap for ``expectation-*.bin`` blobs.
@@ -568,15 +568,6 @@ def _unpack_meta_blob(header: bytes, meta_blob: bytes) -> dict:
     return pickle.loads(zlib.decompress(meta_blob))
 
 
-def _verify_columns_eagerly(region_len: int) -> bool:
-    env = os.environ.get("REPRO_CACHE_VERIFY", "").strip()
-    if env == "1":
-        return True
-    if env == "0":
-        return False
-    return region_len <= _EAGER_VERIFY_BYTES
-
-
 def _read_mmap_blob(path: Path, fault_token: str) -> dict | None:
     """Map an mmap-format blob; on any damage, delete it and return None.
 
@@ -611,9 +602,11 @@ def _read_mmap_blob(path: Path, fault_token: str) -> dict | None:
             region = view[meta_end:]
             if len(region) != envelope["columns_len"]:
                 raise ValueError("mmap blob column region truncated")
-            if _verify_columns_eagerly(len(region)):
-                if zlib.crc32(region) != envelope["columns_crc"]:
-                    raise ValueError("mmap blob failed column CRC")
+            if (
+                len(region) <= _EAGER_VERIFY_BYTES
+                and zlib.crc32(region) != envelope["columns_crc"]
+            ):
+                raise ValueError("mmap blob failed column CRC")
             partition = envelope["partition"]
             months: dict[int, dict] = {}
             for month_ord, descr in envelope["columns"].items():

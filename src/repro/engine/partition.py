@@ -417,9 +417,6 @@ class PackedMerge:
                 self._sources.append((month_ord, columns, payload["shapes"]))
         self._sources.sort(key=lambda s: s[0])
 
-    def month_ords(self) -> list[int]:
-        return [month_ord for month_ord, _, _ in self._sources]
-
     def months(self):
         """Yield ``(month_ord, merged_columns)`` ascending, remapped."""
         for month_ord, columns, source_shapes in self._sources:

@@ -43,9 +43,8 @@ backend.
 
 Finished chunks of a multi-chunk run are immediately spilled as
 per-month checkpoint files (:class:`repro.engine.cache.Checkpoint`), so
-a run killed outright can resume (``resume=True`` / ``--resume`` /
-``REPRO_RESUME=1``) and re-simulate only the months that never
-completed.  Checkpoints are cleared when a run finishes cleanly.
+a run killed outright can resume (``resume=True`` / ``--resume``) and
+re-simulate only the months that never completed.  Checkpoints are cleared when a run finishes cleanly.
 
 This module is pure *policy*: chunking, sliding-window submission,
 retry/backoff, deadlines with kill-and-reshard, checkpoint adoption,
@@ -59,9 +58,9 @@ explicit worker init, the multi-node-shaped backend), or ``inline``
 backend-agnostic; the differential and fault suites assert every
 backend produces byte-identical stores.
 
-Worker count resolution: explicit argument, else ``REPRO_WORKERS``,
-else ``os.cpu_count()``.  ``0`` or ``1`` runs serially (one inline chunk);
-negative values are malformed and fall back to the CPU count.  A count
+Worker count resolution: explicit argument, else ``os.cpu_count()``.
+``0`` or ``1`` runs serially (one inline chunk); negative values are
+malformed and fall back to the CPU count.  A count
 beyond twice the CPU count is honored but flagged — a diagnostic
 warning plus the ``oversubscription_warnings`` counter — instead of
 silently oversubscribing the host.
@@ -94,16 +93,12 @@ _log = obs.get_logger("repro.engine.runner")
 #: Pool attempts per chunk before the inline fallback takes over.
 DEFAULT_MAX_ATTEMPTS = 3
 
-#: Per-round chunk deadline (seconds); ``REPRO_CHUNK_TIMEOUT`` overrides.
+#: Per-round chunk deadline (seconds); ``chunk_timeout=`` overrides.
 DEFAULT_CHUNK_TIMEOUT = 600.0
 
 #: Capped exponential backoff between retry rounds.
 _BACKOFF_BASE = 0.05
 _BACKOFF_CAP = 2.0
-
-
-def fork_available() -> bool:
-    return executors.fork_available()
 
 
 #: The full study window (Jan 2012 – Apr 2018); the chunk-span sanity
@@ -132,110 +127,38 @@ def _warn_oversubscribed(knob: str, value: int, bound: int) -> None:
 
 
 def resolve_workers(explicit: int | None = None) -> int:
-    """Worker count: explicit > ``REPRO_WORKERS`` > ``os.cpu_count()``.
+    """Worker count: the explicit value, else ``os.cpu_count()``.
 
-    Negative values — explicit or from the environment — are malformed,
-    not "serial": silently clamping ``-3`` to 0 would hide a typo as a
-    10x slowdown, so they fall through to the CPU-count default exactly
-    like unparseable text.  Values beyond twice the CPU count (the
-    headroom that tolerates I/O overlap) are honored but warned about —
-    see :func:`_warn_oversubscribed`.
+    Negative values are malformed, not "serial": silently clamping
+    ``-3`` to 0 would hide a typo as a 10x slowdown, so they fall back
+    to the CPU count like ``None``.  Values beyond twice the CPU count
+    (the headroom that tolerates I/O overlap) are honored but warned
+    about — see :func:`_warn_oversubscribed`.
     """
-
-    def checked(value: int) -> int:
-        bound = 2 * (os.cpu_count() or 1)
-        if value > bound:
-            _warn_oversubscribed("workers", value, bound)
-        return value
-
-    if explicit is not None and int(explicit) >= 0:
-        return checked(int(explicit))
-    env = os.environ.get("REPRO_WORKERS", "").strip()
-    if explicit is None and env:
-        try:
-            value = int(env)
-            if value >= 0:
-                return checked(value)
-        except ValueError:
-            # A malformed env var must not kill a run; fall through to
-            # the CPU-count default (same spirit as REPRO_CACHE parsing).
-            pass
-    return os.cpu_count() or 1
-
-
-def resolve_scale(explicit: int | None = None) -> int:
-    """Dataset scale: explicit > ``REPRO_SCALE`` > 1.
-
-    The multiplier on per-month record counts (see
-    :class:`repro.notary.generator.TrafficGenerator.scale`).  Values
-    below 1 — explicit or from the environment — are malformed and fall
-    through to the unscaled default, same policy as ``REPRO_WORKERS``.
-    """
-    if explicit is not None and int(explicit) >= 1:
-        return int(explicit)
-    env = os.environ.get("REPRO_SCALE", "").strip()
-    if explicit is None and env:
-        try:
-            value = int(env)
-            if value >= 1:
-                return value
-        except ValueError:
-            pass
-    return 1
-
-
-def resolve_chunk_timeout(explicit: float | None = None) -> float:
-    """Per-round chunk deadline: explicit > ``REPRO_CHUNK_TIMEOUT`` > default."""
-    if explicit is not None and explicit > 0:
-        return float(explicit)
-    env = os.environ.get("REPRO_CHUNK_TIMEOUT", "").strip()
-    if env:
-        try:
-            value = float(env)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-    return DEFAULT_CHUNK_TIMEOUT
+    if explicit is None or int(explicit) < 0:
+        return os.cpu_count() or 1
+    value = int(explicit)
+    bound = 2 * (os.cpu_count() or 1)
+    if value > bound:
+        _warn_oversubscribed("workers", value, bound)
+    return value
 
 
 def resolve_chunk_months(explicit: int | None = None) -> int | None:
-    """Months per chunk override (``REPRO_CHUNK_MONTHS``); None = auto.
+    """Months per chunk; None (or a value below 1) = auto.
 
     A span so wide that even the full 76-month study would yield fewer
     chunks than CPUs defeats the load balancing the chunking exists
     for; such values are honored but warned about (same warn-don't-
     clamp policy as :func:`resolve_workers`).
     """
-
-    def checked(value: int) -> int:
-        bound = max(1, _STUDY_MONTHS // (os.cpu_count() or 1))
-        if value > bound:
-            _warn_oversubscribed("chunk_months", value, bound)
-        return value
-
-    if explicit is not None and explicit > 0:
-        return checked(int(explicit))
-    env = os.environ.get("REPRO_CHUNK_MONTHS", "").strip()
-    if env:
-        try:
-            value = int(env)
-            if value > 0:
-                return checked(value)
-        except ValueError:
-            pass
-    return None
-
-
-def _resume_enabled(explicit: bool | None) -> bool:
-    if explicit is not None:
-        return explicit
-    return os.environ.get("REPRO_RESUME", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
+    if explicit is None or explicit <= 0:
+        return None
+    value = int(explicit)
+    bound = max(1, _STUDY_MONTHS // (os.cpu_count() or 1))
+    if value > bound:
+        _warn_oversubscribed("chunk_months", value, bound)
+    return value
 
 
 @dataclass
@@ -452,20 +375,24 @@ def run_expectation(
     end: _dt.date,
     workers: int | None = None,
     *,
-    resume: bool | None = None,
-    chunk_timeout: float | None = None,
+    resume: bool = False,
+    chunk_timeout: float = DEFAULT_CHUNK_TIMEOUT,
     chunk_months: int | None = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     faults_spec: str | None = None,
-    scale: int | None = None,
+    scale: int = 1,
     backend: str | None = None,
 ) -> NotaryStore:
-    """Full expectation run, sharded across workers; returns the store."""
+    """Full expectation run, sharded across workers; returns the store.
+
+    ``workers=None`` means the CPU count; ``0`` runs serially.
+    """
+    if scale < 1:
+        raise ValueError(f"scale must be >= 1, got {scale!r}")
     if faults_spec is not None:
         faults.configure(faults_spec)
     months = month_range(start, end)
     count = resolve_workers(workers)
-    factor = resolve_scale(scale)
     chosen = executors.resolve_backend(backend)
     if count <= 1 or len(months) < 2:
         count, chosen = 0, "serial"
@@ -475,13 +402,13 @@ def run_expectation(
         end=end.isoformat(),
         months=len(months),
         workers=count,
-        scale=factor,
+        scale=scale,
         backend=chosen,
     )
     _log.info(
         "expectation run %s..%s: %d month(s), %s, scale %d",
         start.isoformat(), end.isoformat(), len(months),
-        f"{count} workers ({chosen})" if count else "serial", factor,
+        f"{count} workers ({chosen})" if count else "serial", scale,
     )
     with obs.profiled("run_expectation"), obs.span(
         "run_expectation", months=len(months), workers=count
@@ -493,11 +420,11 @@ def run_expectation(
             end,
             months,
             count,
-            resume=_resume_enabled(resume),
-            timeout=resolve_chunk_timeout(chunk_timeout),
+            resume=resume,
+            timeout=chunk_timeout,
             per_chunk=resolve_chunk_months(chunk_months),
             max_attempts=max(1, max_attempts),
-            scale=factor,
+            scale=scale,
             backend=chosen,
         )
     obs.end_run(

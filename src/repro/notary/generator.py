@@ -68,7 +68,7 @@ class TrafficGenerator:
     servers: ServerPopulation
     monitor: PassiveMonitor
     affinity: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_AFFINITY))
-    #: Dataset scale multiplier (``--scale`` / ``REPRO_SCALE``): every
+    #: Dataset scale multiplier (``--scale``): every
     #: expectation record is emitted ``scale`` times at ``weight/scale``,
     #: so per-month *record counts* grow by the factor while month
     #: totals and fractions stay put.  ``1`` is the seed dataset exactly

@@ -22,8 +22,8 @@ Two consumers sit on top of the channels:
   utilization, and fault attribution, and exports Chrome-trace JSON
   (``python -m repro trace``).
 * **Profiling** (:mod:`repro.obs.profile`) — opt-in cProfile /
-  tracemalloc hooks around engine phases (``--profile`` /
-  ``REPRO_PROFILE``), surfaced in ``stats --json`` and the bench
+  tracemalloc hooks around engine phases (``--profile``), surfaced in
+  ``stats --json`` and the bench
   trajectory.
 * **Live telemetry** (:mod:`repro.obs.live`) — continuous telemetry
   for long-running processes: mergeable fixed-bucket log-scale latency

@@ -4,7 +4,7 @@ Spans answer *where the wall time went between phases*; this module
 answers *what a phase spent it on*.  It is off by default — profiling
 is the one observability channel with a real runtime tax — and is
 enabled per process by the CLI ``--profile cprofile|tracemalloc`` flag
-or the ``REPRO_PROFILE`` environment variable.
+(or ``profile_mode=`` on :func:`repro.bench.run_benches`).
 
 Usage is one context manager around a phase::
 
@@ -44,16 +44,12 @@ TOP_N = 10
 
 
 def resolve_mode(explicit: str | None = None) -> str | None:
-    """Profiling mode: explicit arg > ``REPRO_PROFILE`` > disabled.
+    """Profiling mode: one of :data:`MODES`, else disabled.
 
-    Unknown values degrade to disabled — a typo in an env var must not
-    kill a run (same contract as every other ``REPRO_*`` knob).
+    Unknown values degrade to disabled rather than killing a run.
     """
-    for candidate in (explicit, os.environ.get("REPRO_PROFILE", "")):
-        candidate = (candidate or "").strip().lower()
-        if candidate in MODES:
-            return candidate
-    return None
+    candidate = (explicit or "").strip().lower()
+    return candidate if candidate in MODES else None
 
 
 class _ProfileState:

@@ -35,10 +35,6 @@ class Certificate:
     not_before: _dt.date
     not_after: _dt.date
 
-    @property
-    def validity_days(self) -> int:
-        return (self.not_after - self.not_before).days
-
     def valid_at(self, on: _dt.date) -> bool:
         return self.not_before <= on <= self.not_after
 
@@ -127,9 +123,6 @@ class CertificateObservatory:
 
     def __len__(self) -> int:
         return len(self._seen)
-
-    def unique_certificates(self) -> list[Certificate]:
-        return list(self._seen.values())
 
     def weak_key_share(self) -> float:
         if not self._seen:

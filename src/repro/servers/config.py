@@ -74,9 +74,6 @@ class ServerProfile:
     def supports_version(self, wire: int) -> bool:
         return wire in self.supported_versions
 
-    def supports_suite(self, code: int) -> bool:
-        return code in self.suite_preference
-
     def with_heartbeat(self, vulnerable: bool = False) -> "ServerProfile":
         """A copy of this profile with the Heartbeat extension enabled."""
         return replace(

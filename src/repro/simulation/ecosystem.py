@@ -5,17 +5,17 @@ passive monitor and Censys archive together and exposes the datasets
 every benchmark consumes.  Results are cached per instance, so a bench
 module can share one model across all its experiments.
 
-The expectation dataset goes through the run engine
-(:mod:`repro.engine`): month-sharded across workers (``workers`` /
-``REPRO_WORKERS``), and persisted to the dataset cache
-(``REPRO_CACHE_DIR``, disable with ``use_cache=False`` or
-``REPRO_CACHE=0``) so repeat processes load instead of re-simulating.
+The model's fields are the run configuration: the CLI resolves its
+flags into them once (:func:`repro.cli.model_kwargs`) and nothing here
+reads the environment.  The expectation dataset goes through the run
+engine (:mod:`repro.engine`): month-sharded across ``workers``, and
+persisted to the dataset cache (``REPRO_CACHE_DIR``; disable with
+``use_cache=False``) so repeat processes load instead of re-simulating.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-import os
 import random
 from dataclasses import dataclass, field
 
@@ -36,15 +36,6 @@ STUDY_START = _dt.date(2012, 1, 1)
 STUDY_END = _dt.date(2018, 4, 1)
 
 
-def _cache_enabled_by_env() -> bool:
-    return os.environ.get("REPRO_CACHE", "").strip().lower() not in (
-        "0",
-        "false",
-        "no",
-        "off",
-    )
-
-
 @dataclass
 class EcosystemModel:
     """Client + server populations plus the two measurement pipelines."""
@@ -54,25 +45,26 @@ class EcosystemModel:
     seed: int = 7
     clients: ClientPopulation = field(default_factory=default_population)
     servers: ServerPopulation = field(default_factory=ServerPopulation)
-    #: Worker processes for the expectation run; None resolves via
-    #: ``REPRO_WORKERS`` then ``os.cpu_count()``; 0 forces serial.
+    #: Worker processes for the expectation run; None means
+    #: ``os.cpu_count()``; 0 forces serial.
     workers: int | None = None
-    #: Persistent dataset cache; None resolves via ``REPRO_CACHE``.
-    use_cache: bool | None = None
+    #: Persistent dataset cache.
+    use_cache: bool = True
     #: Ignore any cached dataset and overwrite it with a fresh run.
     rebuild: bool = False
-    #: Fault-injection spec (``kind:rate,...``); None resolves via
-    #: ``REPRO_FAULTS``.  See :mod:`repro.engine.faults`.
+    #: Fault-injection spec (``kind:rate,...``) installed for the run;
+    #: None keeps the process plan.  See :mod:`repro.engine.faults`.
     faults: str | None = None
-    #: Resume a killed run from its month checkpoints; None resolves
-    #: via ``REPRO_RESUME``.
-    resume: bool | None = None
+    #: Resume a killed run from its month checkpoints.
+    resume: bool = False
     #: Dataset scale multiplier (records per month ×N at weight/N);
-    #: None resolves via ``REPRO_SCALE`` then 1.  See
+    #: must be at least 1.  See
     #: :class:`repro.notary.generator.TrafficGenerator`.
-    scale: int | None = None
+    scale: int = 1
 
     def __post_init__(self) -> None:
+        if self.scale < 1:
+            raise ValueError(f"scale must be >= 1, got {self.scale!r}")
         self._passive_store: NotaryStore | None = None
         self._montecarlo_store: NotaryStore | None = None
         self._censys: CensysArchive | None = None
@@ -80,17 +72,7 @@ class EcosystemModel:
         self._scans: dict[tuple[str, int], CensysArchive] = {}
         self._pulse: SslPulse | None = None
 
-    def _cache_enabled(self) -> bool:
-        if self.use_cache is not None:
-            return self.use_cache
-        return _cache_enabled_by_env()
-
     # ---- passive (Notary) ----------------------------------------------------
-
-    def _resolved_scale(self) -> int:
-        from repro.engine import runner
-
-        return runner.resolve_scale(self.scale)
 
     def _build_passive_store(self) -> NotaryStore:
         from repro.engine import runner
@@ -120,19 +102,17 @@ class EcosystemModel:
                 start=self.start.isoformat(),
                 end=self.end.isoformat(),
             ):
-                cache_on = self._cache_enabled()
                 key = None
                 store = None
-                scale = self._resolved_scale()
-                if cache_on:
+                if self.use_cache:
                     key = dataset_cache.dataset_key(
                         self.clients, self.servers, self.start, self.end,
-                        scale=scale,
+                        scale=self.scale,
                     )
                     if not self.rebuild:
                         store = dataset_cache.load_store(key)
                 if store is None:
-                    if cache_on and key is not None:
+                    if key is not None:
                         with dataset_cache.build_lock(key) as acquired:
                             if not acquired and not self.rebuild:
                                 _log.info(
@@ -150,7 +130,7 @@ class EcosystemModel:
                                         "start": self.start.isoformat(),
                                         "end": self.end.isoformat(),
                                         "records": len(store),
-                                        "scale": scale,
+                                        "scale": self.scale,
                                     },
                                 )
                     else:
@@ -229,24 +209,16 @@ class EcosystemModel:
 _DEFAULT_MODEL: EcosystemModel | None = None
 
 
-def default_model(
-    workers: int | None = None,
-    use_cache: bool | None = None,
-    rebuild: bool = False,
-    faults: str | None = None,
-    resume: bool | None = None,
-    scale: int | None = None,
-) -> EcosystemModel:
+def default_model(**config) -> EcosystemModel:
     """A process-wide shared model, so benches and chained CLI commands
     reuse one simulation.
 
-    The first call fixes the configuration; later calls return the same
-    instance regardless of arguments (one dataset per process).
+    ``config`` is :class:`EcosystemModel` fields (``workers``,
+    ``use_cache``, ``scale``, ...).  The first call fixes the
+    configuration; later calls return the same instance regardless of
+    arguments (one dataset per process).
     """
     global _DEFAULT_MODEL
     if _DEFAULT_MODEL is None:
-        _DEFAULT_MODEL = EcosystemModel(
-            workers=workers, use_cache=use_cache, rebuild=rebuild,
-            faults=faults, resume=resume, scale=scale,
-        )
+        _DEFAULT_MODEL = EcosystemModel(**config)
     return _DEFAULT_MODEL

@@ -9,7 +9,7 @@ are plain frozen dataclasses; the binary codec lives in
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from repro.tls.ciphers import REGISTRY, CipherSuite
 from repro.tls.curves import CURVE_REGISTRY, NamedCurve
@@ -133,9 +133,6 @@ class ClientHello:
         if index is None:
             return None
         return index / (len(suites) - 1)
-
-    def with_extensions(self, extensions: tuple[Extension, ...]) -> "ClientHello":
-        return replace(self, extensions=extensions)
 
 
 class AlertDescription(enum.IntEnum):

@@ -64,9 +64,6 @@ class _Reader:
     def u16(self) -> int:
         return int.from_bytes(self.take(2), "big")
 
-    def u24(self) -> int:
-        return int.from_bytes(self.take(3), "big")
-
     def vector(self, length_bytes: int) -> bytes:
         length = int.from_bytes(self.take(length_bytes), "big")
         return self.take(length)

@@ -24,7 +24,6 @@ FAST = ["substrate.encode_hello", "substrate.fingerprint"]
 @pytest.fixture(autouse=True)
 def _hermetic(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_METRICS_PATH", raising=False)
-    monkeypatch.delenv("REPRO_PROFILE", raising=False)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     obs.TRACE.reset()
     faults.clear()

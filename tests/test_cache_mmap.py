@@ -156,10 +156,7 @@ class TestMmapCorruption:
         assert dataset_cache.load_store(KEY) is None
         assert not path.exists()
 
-    def test_flipped_column_byte_fails_crc(
-        self, _tmp_cache, packed_store, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_CACHE_VERIFY", "1")
+    def test_flipped_column_byte_fails_crc(self, _tmp_cache, packed_store):
         path = self._saved(packed_store)
         raw = bytearray(path.read_bytes())
         raw[-1] ^= 0xFF  # last byte lives in the column region

@@ -73,6 +73,9 @@ class TestFastCommands:
 
     def test_unknown_figure(self, capsys):
         assert main(["figure", "fig99"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown figure 'fig99'" in err
+        assert "'fig10'" in err and "'fig9'" in err
 
     def test_fingerprint_unknown_family(self, capsys):
         assert main(["fingerprint", "Netscape", "4"]) == 2
@@ -132,3 +135,78 @@ class TestStats:
         monkeypatch.setattr(ecosystem, "_DEFAULT_MODEL", None)
         first = ecosystem.default_model(workers=0, use_cache=False)
         assert ecosystem.default_model() is first
+
+
+class TestRunConfiguration:
+    """CLI flags resolve once into :class:`EcosystemModel`; the
+    environment carries only the deployment and observability knobs."""
+
+    #: Every environment variable the package reads.  Engine options
+    #: that shadow a CLI flag live on the model instead.
+    KNOBS = {
+        "REPRO_CACHE_DIR",
+        "REPRO_CACHE_MAX_BYTES",
+        "REPRO_FAULTS",
+        "REPRO_BACKEND",
+        "REPRO_LOG_LEVEL",
+        "REPRO_METRICS_PATH",
+    }
+
+    def test_environment_knobs_are_exactly_six(self):
+        import re
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        found = set()
+        for path in src.rglob("*.py"):
+            found.update(re.findall(r"REPRO_[A-Z_]+", path.read_text("utf-8")))
+        assert found == self.KNOBS
+
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_scale_below_one_is_a_usage_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--scale", value, "timeline"])
+        assert exc.value.code == 2
+        assert "--scale" in capsys.readouterr().err
+
+    def test_bench_rejects_the_dataset_scale(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--scale", "2", "bench", "--quick"])
+        assert exc.value.code == 2
+        assert "bench runs its windows at scale 1" in capsys.readouterr().err
+
+    def test_scale_below_one_raises_in_the_engine(
+        self, client_population, server_population
+    ):
+        import datetime as dt
+
+        from repro.engine import runner
+        from repro.simulation.ecosystem import EcosystemModel
+
+        with pytest.raises(ValueError, match="scale"):
+            EcosystemModel(scale=0)
+        with pytest.raises(ValueError, match="scale"):
+            runner.run_expectation(
+                client_population, server_population,
+                dt.date(2014, 6, 1), dt.date(2014, 6, 1), workers=0, scale=0,
+            )
+
+    def test_flags_map_onto_model_fields(self, monkeypatch):
+        from repro.cli import model_kwargs
+        from repro.simulation import ecosystem
+
+        args = build_parser().parse_args(
+            ["--workers", "2", "--no-cache", "--resume", "--scale", "3",
+             "--faults", "seed:1", "serve"]
+        )
+        assert model_kwargs(args) == {
+            "workers": 2, "use_cache": False, "rebuild": False,
+            "faults": "seed:1", "resume": True, "scale": 3,
+        }
+        monkeypatch.setattr(ecosystem, "_DEFAULT_MODEL", None)
+        model = ecosystem.default_model(
+            **model_kwargs(build_parser().parse_args(["stats"]))
+        )
+        assert (model.workers, model.use_cache, model.resume, model.scale) == (
+            None, True, False, 1,
+        )

@@ -74,24 +74,14 @@ class TestParallelEquivalence:
     def test_every_figure_identical(self, serial_store, parallel_store, figure):
         assert figure(serial_store) == figure(parallel_store)
 
-    def test_resolve_workers_precedence(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert runner.resolve_workers(None) == 3
+    def test_resolve_workers_precedence(self):
         assert runner.resolve_workers(5) == 5
         assert runner.resolve_workers(0) == 0
-        monkeypatch.delenv("REPRO_WORKERS")
         assert runner.resolve_workers(None) == (os.cpu_count() or 1)
 
-    def test_resolve_workers_ignores_garbage_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "abc")
-        assert runner.resolve_workers(None) == (os.cpu_count() or 1)
-
-    def test_resolve_workers_rejects_negatives_as_malformed(self, monkeypatch):
+    def test_resolve_workers_rejects_negatives_as_malformed(self):
         # A negative count is a typo, not a request for serial mode:
         # it must fall back to the CPU count like any malformed value.
-        monkeypatch.setenv("REPRO_WORKERS", "-3")
-        assert runner.resolve_workers(None) == (os.cpu_count() or 1)
-        monkeypatch.delenv("REPRO_WORKERS")
         assert runner.resolve_workers(-2) == (os.cpu_count() or 1)
 
 

@@ -153,25 +153,16 @@ class TestOversubscriptionWarnings:
         assert runner.resolve_workers(bound + 1) == bound + 1  # honored
         assert PERF.oversubscription_warnings == 1
 
-    def test_env_workers_over_bound_warns(self, monkeypatch):
-        bound = 2 * (os.cpu_count() or 1)
-        monkeypatch.setenv("REPRO_WORKERS", str(bound + 5))
-        PERF.reset()
-        assert runner.resolve_workers(None) == bound + 5
-        assert PERF.oversubscription_warnings == 1
-
-    def test_reasonable_values_stay_silent(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    def test_reasonable_values_stay_silent(self):
         PERF.reset()
         runner.resolve_workers(None)  # the CPU default never warns
         runner.resolve_workers(1)
         runner.resolve_workers(0)
         assert PERF.oversubscription_warnings == 0
 
-    def test_chunk_months_over_bound_warns(self, monkeypatch):
+    def test_chunk_months_over_bound_warns(self):
         # A span so wide the 76-month study yields fewer chunks than
         # CPUs defeats load balancing: honored, but flagged.
-        monkeypatch.delenv("REPRO_CHUNK_MONTHS", raising=False)
         bound = max(1, 76 // (os.cpu_count() or 1))
         PERF.reset()
         assert runner.resolve_chunk_months(bound + 1) == bound + 1

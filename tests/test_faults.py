@@ -93,7 +93,8 @@ class TestFaultMatrix:
         PERF.reset()
         store = runner.run_expectation(
             client_population, server_population, START, END,
-            workers=2, faults_spec=spec, chunk_timeout=timeout,
+            workers=2, faults_spec=spec,
+            chunk_timeout=timeout or runner.DEFAULT_CHUNK_TIMEOUT,
             backend=backend,
         )
         if backend == "inline":
@@ -295,15 +296,14 @@ class TestKillAndResume:
             "from repro.servers import ServerPopulation\n"
             "from repro.engine import runner\n"
             "runner.run_expectation(default_population(), ServerPopulation(),\n"
-            "    dt.date(2014, 1, 1), dt.date(2015, 6, 1), workers=2)\n"
+            "    dt.date(2014, 1, 1), dt.date(2015, 6, 1), workers=2,\n"
+            "    chunk_months=2)\n"
         )
         env = dict(os.environ)
         env.update(
             PYTHONPATH=os.pathsep.join(sys.path),
             REPRO_CACHE_DIR=str(tmp_path),
             REPRO_FAULTS="chunk_hang:0.5,hang_seconds:300,seed:0",
-            REPRO_CHUNK_MONTHS="2",
-            REPRO_CHUNK_TIMEOUT="600",
         )
         child = subprocess.Popen(
             [sys.executable, "-c", script], env=env, start_new_session=True

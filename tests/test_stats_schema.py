@@ -106,7 +106,6 @@ KNOWN_SCHEMA_VERSIONS = (1, 2, 3, 4, 5, 6, 7)
 @pytest.fixture(autouse=True)
 def _hermetic(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_METRICS_PATH", raising=False)
-    monkeypatch.delenv("REPRO_PROFILE", raising=False)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     obs.TRACE.reset()
     obs.profile.configure(None)
